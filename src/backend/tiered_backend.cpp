@@ -10,6 +10,7 @@
 #include "backend/mem_backend.h"
 #include "backend/posix_backend.h"
 #include "crfs/config.h"
+#include "obs/json_lite.h"
 
 namespace crfs {
 
@@ -450,6 +451,19 @@ Result<std::size_t> TieredBackend::pread(BackendFile file, std::span<std::byte> 
     if (s.staged) {
       auto got = stage_->pread(stage_file, dst, s.offset);
       if (!got.ok()) return got.error();
+      if (got.value() < s.len) {
+        // Eviction raced this read: the drain truncated the stage copy
+        // after the plan above. A unit is evicted only once remote-durable,
+        // so the rest of the segment is on the remote.
+        {
+          std::lock_guard<std::mutex> lock(mu_);
+          CRFS_RETURN_IF_ERROR(ensure_remote_read_locked(*fs));
+          remote_file = fs->remote_read;
+        }
+        auto rest = remote_->pread(remote_file, dst.subspan(got.value()),
+                                   s.offset + got.value());
+        if (!rest.ok()) return rest.error();
+      }
     } else if (remote_file != 0) {
       auto got = remote_->pread(remote_file, dst, s.offset);
       if (!got.ok()) return got.error();
@@ -902,8 +916,10 @@ std::string TieredBackend::tier_json() const {
   char mbps[32];
   std::snprintf(mbps, sizeof(mbps), "%g", s.drain_mbps);
   std::string out = "{\"enabled\":true";
-  out += ",\"stage\":\"" + stage_->name() + "\"";
-  out += ",\"remote\":\"" + remote_->name() + "\"";
+  out += ",\"stage\":";
+  obs::append_json_string(out, stage_->name());
+  out += ",\"remote\":";
+  obs::append_json_string(out, remote_->name());
   out += ",\"stage_used\":" + std::to_string(s.stage_used);
   out += ",\"stage_cap\":" + std::to_string(s.stage_cap);
   out += ",\"staged_bytes\":" + std::to_string(s.staged_bytes);

@@ -8,29 +8,34 @@
 
 #include "common/table.h"
 #include "obs/chrome_trace.h"
+#include "obs/json_lite.h"
 
 namespace crfs {
 
-namespace {
+MountStats::MountStats(obs::Registry& reg)
+    : app_writes(reg.counter("crfs.mount.app_writes")),
+      app_bytes(reg.counter("crfs.mount.app_bytes")),
+      full_flushes(reg.counter("crfs.mount.full_flushes")),
+      partial_flushes(reg.counter("crfs.mount.partial_flushes")),
+      reopens(reg.counter("crfs.mount.reopens")),
+      chunk_steals(reg.counter("crfs.mount.chunk_steals")),
+      bypass_writes(reg.counter("crfs.mount.bypass_writes")),
+      reads(reg.counter("crfs.read.ops")),
+      read_bytes(reg.counter("crfs.read.bytes")) {}
 
-// Minimal JSON string escaper for the postmortem document (config strings
-// may carry quotes/backslashes via user-supplied paths).
-void append_json_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
+MountStats::Snapshot MountStats::snapshot() const {
+  return Snapshot{
+      .app_writes = app_writes.value(),
+      .app_bytes = app_bytes.value(),
+      .full_flushes = full_flushes.value(),
+      .partial_flushes = partial_flushes.value(),
+      .reopens = reopens.value(),
+      .chunk_steals = chunk_steals.value(),
+      .bypass_writes = bypass_writes.value(),
+      .reads = reads.value(),
+      .read_bytes = read_bytes.value(),
+  };
 }
-
-}  // namespace
 
 Result<std::unique_ptr<Crfs>> Crfs::mount(std::shared_ptr<BackendFs> backend, Config cfg) {
   if (backend == nullptr) return Error{EINVAL, "mount: null backend"};
@@ -41,36 +46,26 @@ Result<std::unique_ptr<Crfs>> Crfs::mount(std::shared_ptr<BackendFs> backend, Co
 Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
     : backend_(std::move(backend)),
       cfg_(cfg),
-      trace_(cfg.trace_ring_events),
-      events_(cfg.event_capacity),
-      slow_(cfg.slow_exemplars,
-            static_cast<std::uint64_t>(cfg.slow_capture_ms) * 1'000'000) {
+      telemetry_(cfg_, obs::now_ns),
+      stats_(telemetry_.registry()),
+      epochs_(telemetry_.epochs()),
+      trace_(cfg.trace_ring_events) {
   trace_.set_enabled(cfg_.enable_tracing);
-  if (cfg_.epoch_tracking) {
-    epochs_ = std::make_unique<obs::EpochTracker>(
-        obs::EpochTracker::Options{
-            .gap_ns = static_cast<std::uint64_t>(cfg_.epoch_gap_ms) * 1'000'000,
-            .ledger_capacity = cfg_.epoch_ledger},
-        &metrics_);
-  }
+  obs::Registry& reg = telemetry_.registry();
+  obs::EventBuffer& events = telemetry_.events();
   pool_ = std::make_unique<BufferPool>(cfg_.pool_size, cfg_.chunk_size, cfg_.pool_shards);
 
   // Resolve every hot-path metric once, before any worker thread exists;
   // after this point the registry is only touched through these handles
   // and snapshot().
-  h_write_copy_ = &metrics_.histogram("crfs.write.copy_ns");
-  h_pool_wait_ = &metrics_.histogram("crfs.write.pool_wait_ns");
-  h_drain_wait_ = &metrics_.histogram("crfs.drain.wait_ns");
-  h_pwrite_ = &metrics_.histogram("crfs.io.pwrite_ns");
-  c_pwrite_bytes_ = &metrics_.counter("crfs.io.pwrite_bytes");
-  c_pwrite_errors_ = &metrics_.counter("crfs.io.pwrite_errors");
-  c_bypass_bytes_ = &metrics_.counter("crfs.write.bypass_bytes");
-  c_m_reopens_ = &metrics_.counter("crfs.mount.reopens");
-  c_m_partial_flushes_ = &metrics_.counter("crfs.mount.partial_flushes");
-  c_m_full_flushes_ = &metrics_.counter("crfs.mount.full_flushes");
-  c_m_chunk_steals_ = &metrics_.counter("crfs.mount.chunk_steals");
-  c_m_bypass_writes_ = &metrics_.counter("crfs.mount.bypass_writes");
-  queue_.set_wait_histogram(&metrics_.histogram("crfs.queue.wait_ns"));
+  h_write_copy_ = &reg.histogram("crfs.write.copy_ns");
+  h_pool_wait_ = &reg.histogram("crfs.write.pool_wait_ns");
+  h_drain_wait_ = &reg.histogram("crfs.drain.wait_ns");
+  h_pwrite_ = &reg.histogram("crfs.io.pwrite_ns");
+  c_pwrite_bytes_ = &reg.counter("crfs.io.pwrite_bytes");
+  c_pwrite_errors_ = &reg.counter("crfs.io.pwrite_errors");
+  c_bypass_bytes_ = &reg.counter("crfs.write.bypass_bytes");
+  queue_.set_wait_histogram(&reg.histogram("crfs.queue.wait_ns"));
 
   // Tiered staging (docs/PERFORMANCE.md "Tiered staging"): when the
   // backend is a TieredBackend, bind its crfs.tier.* telemetry and wire
@@ -80,7 +75,7 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
   // contracts), so neither callback can deadlock against the other plane.
   tier_ = dynamic_cast<TieredBackend*>(backend_.get());
   if (tier_ != nullptr) {
-    tier_->bind_obs(&metrics_, &events_);
+    tier_->bind_obs(&reg, &events);
     if (epochs_ != nullptr) {
       epochs_->set_finalize_listener(
           [this](const obs::EpochRecord& rec) { tier_->seal_epoch(rec.id); });
@@ -91,41 +86,20 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
     }
   }
 
-  // Durable journal (docs/OBSERVABILITY.md "Durable journal"). Constructed
-  // before the IO pool and the knob plane: the event listener below
-  // appends into it, and the journal_fsync_ms knob applies to it.
-  if (!cfg_.journal_dir.empty()) {
-    journal_ = std::make_unique<obs::Journal>(
-        obs::JournalOptions{.dir = cfg_.journal_dir,
-                            .segment_bytes = cfg_.journal_segment_bytes,
-                            .max_bytes = cfg_.journal_max_bytes,
-                            .flush_ms = cfg_.journal_flush_ms,
-                            .fsync_ms = cfg_.journal_fsync_ms},
-        &metrics_);
-  }
-  if (cfg_.slo_enabled()) {
-    // validate() guarantees sample_ms > 0, so the tick observer below will
-    // actually drive the monitor.
-    slo_ = std::make_unique<obs::SloMonitor>(cfg_.slo_config(), &metrics_, &events_);
-  }
-  if (journal_ != nullptr || slo_ != nullptr) {
-    slo_extract_ = std::make_unique<obs::SloExtractor>();
-  }
-
   IoPoolObs io_obs;
   io_obs.pwrite_ns = h_pwrite_;
   io_obs.pwrite_bytes = c_pwrite_bytes_;
   io_obs.pwrite_errors = c_pwrite_errors_;
   io_obs.trace = &trace_;
-  io_obs.events = &events_;
-  io_obs.batch_chunks = &metrics_.histogram("crfs.io.batch_chunks");
-  io_obs.coalesced_pwrites = &metrics_.counter("crfs.io.coalesced_pwrites");
-  io_obs.durability_lag_ns = &metrics_.histogram("crfs.chunk.durability_lag_ns");
-  io_obs.engine.inflight_depth = &metrics_.histogram("crfs.io.inflight_depth");
-  io_obs.engine.sqe_batch = &metrics_.histogram("crfs.io.sqe_batch");
-  io_obs.engine.cqe_wait_ns = &metrics_.histogram("crfs.io.cqe_wait_ns");
-  io_obs.slow = &slow_;
-  io_obs.slow_captured = &metrics_.counter("crfs.slow.captured");
+  io_obs.events = &events;
+  io_obs.batch_chunks = &reg.histogram("crfs.io.batch_chunks");
+  io_obs.coalesced_pwrites = &reg.counter("crfs.io.coalesced_pwrites");
+  io_obs.durability_lag_ns = &reg.histogram("crfs.chunk.durability_lag_ns");
+  io_obs.engine.inflight_depth = &reg.histogram("crfs.io.inflight_depth");
+  io_obs.engine.sqe_batch = &reg.histogram("crfs.io.sqe_batch");
+  io_obs.engine.cqe_wait_ns = &reg.histogram("crfs.io.cqe_wait_ns");
+  io_obs.slow = &telemetry_.slow();
+  io_obs.slow_captured = &reg.counter("crfs.slow.captured");
   // The knob plane is built after the pool (define_knobs below); no job
   // can complete before the ctor finishes, but guard anyway.
   io_obs.knob_generation = [this]() -> std::uint64_t {
@@ -141,17 +115,13 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
     flight_->install_signal_handlers();
     io_obs.on_run_complete = [this] { refresh_flight(/*force=*/false); };
   }
-  // The event listener is a single slot, so compose its consumers here:
-  // the journal persists every structured event, the flight recorder
-  // dumps on criticals. Error bursts and failed pwrites should leave a
-  // dump even when the process survives them: refresh with the event
-  // included, then write the file. Runs outside the EventBuffer lock.
-  if (flight_ != nullptr || journal_ != nullptr) {
-    events_.set_listener([this](const obs::Event& ev) {
-      if (journal_ != nullptr) {
-        journal_->append(obs::FrameType::kEvent, ev.ts_ns, ev.to_json());
-      }
-      if (flight_ != nullptr && ev.severity == obs::Severity::kCritical) {
+  // After the journal records an event, the flight recorder dumps on
+  // criticals: error bursts and failed pwrites should leave a dump even
+  // when the process survives them, so refresh with the event included,
+  // then write the file. Runs outside the EventBuffer lock.
+  if (flight_ != nullptr) {
+    telemetry_.on_event([this](const obs::Event& ev) {
+      if (ev.severity == obs::Severity::kCritical) {
         refresh_flight(/*force=*/true);
         (void)flight_->dump_now();
       }
@@ -174,22 +144,23 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
   // restore"): its own engine instance so restore reads never compete with
   // checkpoint SQEs for ring slots, same engine kind and fallback rules.
   ReadObs read_obs;
-  read_obs.ops = &metrics_.counter("crfs.read.ops");
-  read_obs.bytes = &metrics_.counter("crfs.read.bytes");
-  read_obs.prefetch_issued = &metrics_.counter("crfs.read.prefetch_issued");
-  read_obs.prefetch_hits = &metrics_.counter("crfs.read.prefetch_hits");
-  read_obs.prefetch_wasted = &metrics_.counter("crfs.read.prefetch_wasted");
-  read_obs.sync_preads = &metrics_.counter("crfs.read.sync_preads");
-  read_obs.pread_ns = &metrics_.histogram("crfs.read.pread_ns");
-  read_obs.inflight_depth = &metrics_.histogram("crfs.read.inflight_depth");
+  read_obs.ops = &stats_.reads;
+  read_obs.bytes = &stats_.read_bytes;
+  read_obs.prefetch_issued = &reg.counter("crfs.read.prefetch_issued");
+  read_obs.prefetch_hits = &reg.counter("crfs.read.prefetch_hits");
+  read_obs.prefetch_wasted = &reg.counter("crfs.read.prefetch_wasted");
+  read_obs.sync_preads = &reg.counter("crfs.read.sync_preads");
+  read_obs.pread_ns = &reg.histogram("crfs.read.pread_ns");
+  read_obs.inflight_depth = &reg.histogram("crfs.read.inflight_depth");
   // Slow-read forensics: same store and threshold as the write side, with
   // kind="read". A blocking restore read has no copy/queue chain — the
   // whole duration is device time.
-  read_obs.on_slow = [this, c_slow = &metrics_.counter("crfs.slow.captured")](
+  read_obs.on_slow = [this, c_slow = &reg.counter("crfs.slow.captured")](
                          const std::string& path, std::uint64_t offset, std::size_t len,
                          std::uint64_t t_start, std::uint64_t t_done) {
     const std::uint64_t dur = t_done - t_start;
-    if (!slow_.over_threshold(dur, dur)) return;
+    obs::SlowStore& slow = telemetry_.slow();
+    if (!slow.over_threshold(dur, dur)) return;
     obs::SlowExemplar ex;
     ex.kind = "read";
     ex.path = path;
@@ -203,7 +174,7 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
     ex.free_chunks = pool_->free_chunks();
     ex.knob_generation = knobs_ != nullptr ? knobs_->generation() : 0;
     ex.engine = readahead_ != nullptr ? readahead_->engine_name() : "sync";
-    slow_.capture(std::move(ex));
+    slow.capture(std::move(ex));
     c_slow->add(1);
   };
   readahead_ = std::make_unique<Readahead>(
@@ -214,69 +185,69 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
   readahead_window_.store(cfg_.readahead_window, std::memory_order_relaxed);
 
   // Occupancy gauges, sampled at snapshot time straight from the stages.
-  metrics_.gauge_fn("crfs.pool.free_chunks", [this] {
+  reg.gauge_fn("crfs.pool.free_chunks", [this] {
     return static_cast<std::int64_t>(pool_->free_chunks());
   });
-  metrics_.gauge_fn("crfs.pool.parked_chunks", [this] {
+  reg.gauge_fn("crfs.pool.parked_chunks", [this] {
     return static_cast<std::int64_t>(pool_->in_use_chunks());
   });
-  metrics_.gauge_fn("crfs.pool.contentions", [this] {
+  reg.gauge_fn("crfs.pool.contentions", [this] {
     return static_cast<std::int64_t>(pool_->contention_count());
   });
-  metrics_.gauge_fn("crfs.queue.depth", [this] {
+  reg.gauge_fn("crfs.queue.depth", [this] {
     return static_cast<std::int64_t>(queue_.depth());
   });
-  metrics_.gauge_fn("crfs.io.in_flight", [this] {
+  reg.gauge_fn("crfs.io.in_flight", [this] {
     return static_cast<std::int64_t>(io_pool_->in_flight());
   });
-  metrics_.gauge_fn("crfs.io.engine_inflight", [this] {
+  reg.gauge_fn("crfs.io.engine_inflight", [this] {
     return static_cast<std::int64_t>(io_pool_->engine_inflight());
   });
-  metrics_.gauge_fn("crfs.files.open", [this] {
+  reg.gauge_fn("crfs.files.open", [this] {
     return static_cast<std::int64_t>(table_.open_count());
   });
   // Self-health gauges (docs/OBSERVABILITY.md "Observing the observer"):
   // spans lost to ring wrap-around, and slow-exemplar buffer occupancy.
-  metrics_.gauge_fn("crfs.trace.dropped_spans", [this] {
+  reg.gauge_fn("crfs.trace.dropped_spans", [this] {
     return static_cast<std::int64_t>(trace_.dropped());
   });
-  metrics_.gauge_fn("crfs.slow.exemplars", [this] {
-    return static_cast<std::int64_t>(slow_.size());
+  reg.gauge_fn("crfs.slow.exemplars", [this] {
+    return static_cast<std::int64_t>(telemetry_.slow().size());
   });
 
   // Live telemetry plane: background sampler + health rules. Construction
   // only here — the thread starts below, after the control plane is wired,
   // so the first tick already sees the tick observer.
   if (cfg_.sample_ms > 0) {
-    health_ = std::make_unique<obs::HealthMonitor>(cfg_.health, events_);
+    health_ = std::make_unique<obs::HealthMonitor>(cfg_.health, events);
     sampler_ = std::make_unique<obs::Sampler>(
-        metrics_, obs::SamplerOptions{.ring_capacity = cfg_.sample_ring});
+        reg, obs::SamplerOptions{.ring_capacity = cfg_.sample_ring});
     sampler_->set_health_monitor(health_.get());
-    sampler_->set_overrun_counter(&metrics_.counter("crfs.obs.sampler_overruns"));
+    sampler_->set_overrun_counter(&reg.counter("crfs.obs.sampler_overruns"));
   }
 
   // Control plane (docs/OBSERVABILITY.md "Control plane"): the knob plane
   // and decision log always exist (crfsctl tune works on any mount); the
   // feedback controller only with controller=on.
   define_knobs();
-  decisions_ = std::make_unique<obs::DecisionLog>(cfg_.event_capacity, &metrics_, &events_);
+  decisions_ = std::make_unique<obs::DecisionLog>(cfg_.event_capacity, &reg, &events);
   if (flight_ != nullptr) {
     // Every audited decision refreshes the postmortem (throttled), so a
     // crash shortly after a knob change still shows what was retuned.
     decisions_->set_listener([this](const obs::CtlDecision&) { refresh_flight(false); });
   }
-  metrics_.gauge_fn("crfs.ctl.generation", [this] {
+  reg.gauge_fn("crfs.ctl.generation", [this] {
     return static_cast<std::int64_t>(knobs_->generation());
   });
   for (const KnobDef& def : knobs_->defs()) {
-    metrics_.gauge_fn("crfs.knob." + def.name, [this, name = def.name] {
+    reg.gauge_fn("crfs.knob." + def.name, [this, name = def.name] {
       return static_cast<std::int64_t>(knobs_->snapshot()->get(name, 0.0));
     });
   }
   if (cfg_.controller) {
     // validate() guarantees sample_ms > 0 here, so sampler_ exists.
     controller_ = std::make_unique<obs::Controller>(
-        obs::ControllerConfig{}, *decisions_, &events_, &metrics_,
+        obs::ControllerConfig{}, *decisions_, &events, &reg,
         [this](std::string_view name, double fallback) {
           return knobs_->snapshot()->get(name, fallback);
         },
@@ -285,37 +256,16 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
           return obs::TuneOutcome{r.outcome, r.from, r.to, r.reason, r.generation};
         });
   }
-  // The tick observer is a single slot shared by the controller, the SLO
-  // monitor, and the journal; compose them here in a fixed order so the
-  // journal frame for a tick reflects the same sample the monitor saw.
-  if (sampler_ != nullptr && (controller_ != nullptr || slo_extract_ != nullptr)) {
+  // The tick observer is a single slot: the controller first, then the
+  // telemetry plane (SLO monitor, journal). validate() guarantees a
+  // sampler whenever SLOs or the controller are configured.
+  if (sampler_ != nullptr) {
     sampler_->set_tick_observer([this](const obs::Sample& s) {
       if (controller_ != nullptr) controller_->tick(s);
-      if (slo_extract_ != nullptr) {
-        const obs::SloInput in = slo_extract_->extract(s);
-        if (slo_ != nullptr) slo_->observe(in);
-        if (journal_ != nullptr) {
-          journal_->append(obs::FrameType::kSample, s.ts_ns,
-                           obs::journal_sample_json(s, in));
-        }
-      }
-      journal_poll_cold_sinks();
+      telemetry_.observe(s);
     });
   }
-
-  // Journal head: one meta frame describing the mount, the sampling
-  // cadence, and (when set) the SLO targets — enough for an offline
-  // `crfsctl slo` replay to rebuild the monitor after the process dies.
-  if (journal_ != nullptr) {
-    std::string meta = "{\"crfs_journal\":1,\"config\":\"";
-    append_json_escaped(meta, cfg_.describe());
-    meta += "\",\"sample_ms\":" + std::to_string(cfg_.sample_ms);
-    meta += ",\"slo\":";
-    meta += cfg_.slo_enabled() ? cfg_.slo_config().to_json() : std::string("null");
-    meta += "}";
-    journal_->set_meta(meta, obs::now_ns());
-    journal_->start();
-  }
+  if (obs::Journal* journal = telemetry_.journal()) journal->start();
 
   if (sampler_ != nullptr) sampler_->start(std::chrono::milliseconds(cfg_.sample_ms));
 
@@ -416,7 +366,7 @@ void Crfs::define_knobs() {
       KnobDef{"slow_capture_ms", 0.0, 100000.0, "ms"},
       static_cast<double>(cfg_.slow_capture_ms),
       [this](double v, double*, std::string*) {
-        slow_.set_threshold_ns(static_cast<std::uint64_t>(v) * 1'000'000);
+        telemetry_.slow().set_threshold_ns(static_cast<std::uint64_t>(v) * 1'000'000);
         return true;
       });
 
@@ -460,11 +410,11 @@ void Crfs::define_knobs() {
       KnobDef{"journal_fsync_ms", 0.0, 600000.0, "ms"},
       static_cast<double>(cfg_.journal_fsync_ms),
       [this](double v, double*, std::string* reason) {
-        if (journal_ == nullptr) {
+        if (telemetry_.journal() == nullptr) {
           *reason = "journal disabled (mount with journal=<dir>)";
           return false;
         }
-        journal_->set_fsync_ms(static_cast<unsigned>(v));
+        telemetry_.journal()->set_fsync_ms(static_cast<unsigned>(v));
         return true;
       });
 
@@ -500,39 +450,6 @@ void Crfs::define_knobs() {
       });
 }
 
-void Crfs::journal_poll_cold_sinks() {
-  // Epoch records and slow exemplars are pull-model stores with no change
-  // hooks; journal whatever finalized since the last tick. Monotonic
-  // totals guard against ring eviction: records()/snapshot() only hold the
-  // most recent N, so index from the tail by how many we still owe.
-  if (journal_ == nullptr) return;
-  if (epochs_ != nullptr) {
-    const std::uint64_t total = epochs_->total_finalized();
-    if (total > journaled_epochs_) {
-      const auto recs = epochs_->records();
-      std::uint64_t owed = total - journaled_epochs_;
-      if (owed > recs.size()) owed = recs.size();
-      for (std::size_t i = recs.size() - static_cast<std::size_t>(owed);
-           i < recs.size(); ++i) {
-        journal_->append(obs::FrameType::kEpoch, recs[i].end_ns, recs[i].to_json());
-      }
-      journaled_epochs_ = total;
-    }
-  }
-  const std::uint64_t captured = slow_.captured();
-  if (captured > journaled_slow_) {
-    const auto exemplars = slow_.snapshot();
-    std::uint64_t owed = captured - journaled_slow_;
-    if (owed > exemplars.size()) owed = exemplars.size();
-    for (std::size_t i = exemplars.size() - static_cast<std::size_t>(owed);
-         i < exemplars.size(); ++i) {
-      journal_->append(obs::FrameType::kSlow, exemplars[i].durable_ns,
-                       exemplars[i].to_json());
-    }
-    journaled_slow_ = captured;
-  }
-}
-
 Crfs::~Crfs() {
   // Stop the sampler first: its gauge callbacks read the pool/queue/IO
   // stages this destructor is about to tear down.
@@ -549,22 +466,18 @@ Crfs::~Crfs() {
   // All chunk writes have landed: the final epoch record sees complete
   // durable counts. A clean unmount leaves no postmortem file (the
   // recorder only dumps on signals/critical events/dump_postmortem).
-  // With a tier, finalize fires the seal listener, so the last epoch's
-  // unit is drain-eligible before the flush below.
-  if (epochs_ != nullptr) epochs_->finalize_open(obs::now_ns());
-  // Drain the tier to remote-durable, then detach the drain listener:
-  // backend_ (and its drain thread) outlives epochs_/metrics_ in member
-  // order, so no callback may touch them after this point.
   if (tier_ != nullptr) {
+    // Finalize first: the seal listener makes the last epoch's unit
+    // drain-eligible under its own id (flush() would seal it unlabelled).
+    // Then drain to remote-durable and detach the drain listener: backend_
+    // (and its drain thread) outlives the telemetry plane in member order.
+    if (epochs_ != nullptr) epochs_->finalize_open(obs::now_ns());
     (void)tier_->flush();
     tier_->set_drain_listener(nullptr);
   }
-  // Journal last: catch the epoch just finalized and any trailing slow
-  // exemplars, then flush+fsync the tail so the segments outlive us.
-  if (journal_ != nullptr) {
-    journal_poll_cold_sinks();
-    journal_->stop();
-  }
+  // Journal last: the finalized epoch and any trailing slow exemplars,
+  // then flush+fsync the tail so the segments outlive us.
+  telemetry_.finish(obs::now_ns());
 }
 
 Result<Crfs::FileHandle> Crfs::open(const std::string& path, OpenFlags flags) {
@@ -592,8 +505,7 @@ Result<Crfs::FileHandle> Crfs::open(const std::string& path, OpenFlags flags) {
   });
   if (!entry.ok()) return entry.error();
   if (reopened) {
-    stats_.reopens.fetch_add(1, std::memory_order_relaxed);
-    c_m_reopens_->add(1);
+    stats_.reopens.add(1);
     if (flags.truncate && flags.write) {
       // Truncating reopen: discard buffered data and truncate the backend.
       auto& e = *entry.value();
@@ -620,12 +532,6 @@ Result<Crfs::FileHandle> Crfs::open(const std::string& path, OpenFlags flags) {
   return handles_.insert(HandleState{entry.value(), flags.write});
 }
 
-Result<std::shared_ptr<FileEntry>> Crfs::entry_for(FileHandle handle) {
-  auto state = handles_.get(handle);
-  if (!state) return Error{EBADF, "unknown CRFS handle"};
-  return std::move(state->entry);
-}
-
 Result<HandleState> Crfs::state_for(FileHandle handle) {
   auto state = handles_.get(handle);
   if (!state) return Error{EBADF, "unknown CRFS handle"};
@@ -639,13 +545,7 @@ std::uint64_t Crfs::flush_current_locked(const std::shared_ptr<FileEntry>& entry
     auto chunk = std::move(entry->current);
     span.set_trace_id(chunk->trace_id());
     entry->write_chunks.fetch_add(1, std::memory_order_acq_rel);
-    if (partial) {
-      stats_.partial_flushes.fetch_add(1, std::memory_order_relaxed);
-      c_m_partial_flushes_->add(1);
-    } else {
-      stats_.full_flushes.fetch_add(1, std::memory_order_relaxed);
-      c_m_full_flushes_->add(1);
-    }
+    (partial ? stats_.partial_flushes : stats_.full_flushes).add(1);
     // Capture the epoch under agg_mu (the only lock that guards the
     // field); the IO threads attribute through the job's copy, never
     // through the entry.
@@ -669,8 +569,8 @@ Status Crfs::write(FileHandle handle, std::span<const std::byte> data, std::uint
   FileEntry& entry = *entry_sp;
 
   const std::size_t nbytes = data.size();
-  stats_.app_writes.fetch_add(1, std::memory_order_relaxed);
-  stats_.app_bytes.fetch_add(nbytes, std::memory_order_relaxed);
+  stats_.app_writes.add(1);
+  stats_.app_bytes.add(nbytes);
 
   // Per-stage accounting: one clock pair for the whole call, plus slow-path
   // clocks inside acquire_chunk only when the pool actually blocks. The
@@ -708,8 +608,7 @@ Status Crfs::write(FileHandle handle, std::span<const std::byte> data, std::uint
     }
     c_pwrite_bytes_->add(nbytes);
     c_bypass_bytes_->add(nbytes);
-    stats_.bypass_writes.fetch_add(1, std::memory_order_relaxed);
-    c_m_bypass_writes_->add(1);
+    stats_.bypass_writes.add(1);
     if (entry.epoch != nullptr) {
       entry.epoch->app_writes.fetch_add(1, std::memory_order_relaxed);
       entry.epoch->bytes.fetch_add(nbytes, std::memory_order_relaxed);
@@ -832,8 +731,7 @@ std::unique_ptr<Chunk> Crfs::acquire_chunk(FileEntry& entry, std::uint64_t offse
         if (victim_lock.owns_lock() && victim->current != nullptr &&
             !victim->current->empty()) {
           flush_current_locked(victim, /*partial=*/true);
-          stats_.chunk_steals.fetch_add(1, std::memory_order_relaxed);
-          c_m_chunk_steals_->add(1);
+          stats_.chunk_steals.add(1);
         }
       }
     }
@@ -903,12 +801,11 @@ Result<std::size_t> Crfs::read(FileHandle handle, std::span<std::byte> data,
     }
   }
 
-  stats_.reads.fetch_add(1, std::memory_order_relaxed);
-  auto r = readahead_->read(entry_sp, data, offset,
-                            readahead_on_.load(std::memory_order_relaxed),
-                            readahead_window_.load(std::memory_order_relaxed));
-  if (r.ok()) stats_.read_bytes.fetch_add(r.value(), std::memory_order_relaxed);
-  return r;
+  // Readahead counts the call and its bytes (crfs.read.ops/bytes, which
+  // MountStats::reads/read_bytes read).
+  return readahead_->read(entry_sp, data, offset,
+                          readahead_on_.load(std::memory_order_relaxed),
+                          readahead_window_.load(std::memory_order_relaxed));
 }
 
 Status Crfs::fsync(FileHandle handle) {
@@ -1002,7 +899,7 @@ std::string Crfs::stats_report() const {
   mount.add_row({"read_bytes", std::to_string(s.read_bytes)});
   out += mount.render();
   out += "\n";
-  out += metrics_.snapshot().render_table();
+  out += metrics().snapshot().render_table();
   if (tier_ != nullptr) {
     const TierStats t = tier_->tier_stats();
     TextTable tt({"Tier", "Value"});
@@ -1069,7 +966,7 @@ std::string Crfs::stats_report() const {
     out += "\n";
     out += rt.render();
   }
-  const auto events = events_.snapshot();
+  const auto events = telemetry_.events().snapshot();
   if (!events.empty()) {
     TextTable ev({"Severity", "Rule", "Detail"});
     for (const auto& e : events) {
@@ -1081,12 +978,11 @@ std::string Crfs::stats_report() const {
   return out;
 }
 
-std::string Crfs::stats_json() const {
+std::string Crfs::shared_sections_json(std::uint64_t now) const {
   const MountStats::Snapshot s = stats_.snapshot();
-  // schema_version counts breaking shape changes of this document (and of
-  // the postmortem, which embeds the same sections): 2 = control plane,
-  // 3 = durable journal + SLO burn rates.
-  std::string out = "{\"schema_version\":3,\"mount\":{";
+  // schema_version counts breaking shape changes of stats_json and the
+  // postmortem: 2 = control plane, 3 = durable journal + SLO burn rates.
+  std::string out = "\"schema_version\":3,\"mount\":{";
   out += "\"app_writes\":" + std::to_string(s.app_writes);
   out += ",\"app_bytes\":" + std::to_string(s.app_bytes);
   out += ",\"full_flushes\":" + std::to_string(s.full_flushes);
@@ -1099,47 +995,51 @@ std::string Crfs::stats_json() const {
   out += ",\"io_engine\":\"" + std::string(io_pool_->engine_name()) + "\"";
   out += ",\"io_engine_requested\":\"" + std::string(io_engine_name(cfg_.io_engine)) + "\"";
   out += ",\"read_engine\":\"" + std::string(readahead_->engine_name()) + "\"";
-  out += "},\"pipeline\":" + metrics_.snapshot().to_json();
-  out += ",\"events\":" + obs::events_to_json(events_.snapshot());
-  out += ",\"slow\":" + slow_.to_json();
-  out += ",\"restores\":[";
-  {
-    bool first = true;
-    for (const auto& r : readahead_->ledger_snapshot()) {
-      if (!first) out += ",";
-      first = false;
-      out += "{\"path\":\"";
-      append_json_escaped(out, r.path);
-      out += "\",\"bytes\":" + std::to_string(r.bytes);
-      out += ",\"ops\":" + std::to_string(r.ops);
-      out += ",\"prefetch_issued\":" + std::to_string(r.prefetch_issued);
-      out += ",\"prefetch_hits\":" + std::to_string(r.prefetch_hits);
-      out += ",\"prefetch_wasted\":" + std::to_string(r.prefetch_wasted);
-      out += ",\"sync_preads\":" + std::to_string(r.sync_preads);
-      out += ",\"ttfb_ns\":" + std::to_string(r.ttfb_ns);
-      out += ",\"first_read_ns\":" + std::to_string(r.first_read_ns);
-      out += ",\"last_read_ns\":" + std::to_string(r.last_read_ns);
-      out += ",\"active\":";
-      out += r.active ? "true" : "false";
-      out += "}";
-    }
-  }
-  out += "]";
+  out += "},\"pipeline\":" + metrics().snapshot().to_json();
+  out += ",\"events\":" + obs::events_to_json(telemetry_.events().snapshot());
+  out += ",\"slow\":" + slow_json();
+  out += ",\"epoch_open\":";
   if (epochs_ != nullptr) {
-    out += ",\"epochs\":" + obs::epochs_to_json(epochs_->records());
-    const auto open = epochs_->open_epoch(obs::now_ns());
-    out += ",\"epoch_open\":";
+    const auto open = epochs_->open_epoch(now);
     out += open.has_value() ? open->to_json() : std::string("null");
+    out += ",\"epochs\":" + obs::epochs_to_json(epochs_->records());
     out += ",\"epochs_completed\":" + std::to_string(epochs_->total_finalized());
-  }
-  if (sampler_ != nullptr) {
-    out += ",\"samples_taken\":" + std::to_string(sampler_->samples_taken());
+  } else {
+    out += "null,\"epochs\":[],\"epochs_completed\":0";
   }
   out += ",\"controller\":" + controller_json();
   out += ",\"journal\":" + journal_json();
   out += ",\"slo\":" + slo_json();
   out += ",\"tier\":" + tier_json();
-  out += "}";
+  if (sampler_ != nullptr) {
+    out += ",\"samples_taken\":" + std::to_string(sampler_->samples_taken());
+  }
+  return out;
+}
+
+std::string Crfs::stats_json() const {
+  std::string out = "{" + shared_sections_json(obs::now_ns());
+  out += ",\"restores\":[";
+  bool first = true;
+  for (const auto& r : readahead_->ledger_snapshot()) {
+    if (!first) out += ",";
+    first = false;
+    out += "{\"path\":";
+    obs::append_json_string(out, r.path);
+    out += ",\"bytes\":" + std::to_string(r.bytes);
+    out += ",\"ops\":" + std::to_string(r.ops);
+    out += ",\"prefetch_issued\":" + std::to_string(r.prefetch_issued);
+    out += ",\"prefetch_hits\":" + std::to_string(r.prefetch_hits);
+    out += ",\"prefetch_wasted\":" + std::to_string(r.prefetch_wasted);
+    out += ",\"sync_preads\":" + std::to_string(r.sync_preads);
+    out += ",\"ttfb_ns\":" + std::to_string(r.ttfb_ns);
+    out += ",\"first_read_ns\":" + std::to_string(r.first_read_ns);
+    out += ",\"last_read_ns\":" + std::to_string(r.last_read_ns);
+    out += ",\"active\":";
+    out += r.active ? "true" : "false";
+    out += "}";
+  }
+  out += "]}";
   return out;
 }
 
@@ -1277,39 +1177,10 @@ void Crfs::refresh_flight(bool force) {
 std::string Crfs::render_postmortem() const {
   const std::uint64_t now = obs::now_ns();
   std::string out = "{\"crfs_postmortem\":1";
-  out += ",\"schema_version\":3";
   out += ",\"rendered_ns\":" + std::to_string(now);
-  out += ",\"config\":\"";
-  append_json_escaped(out, cfg_.describe());
-  out += "\"";
-
-  const MountStats::Snapshot s = stats_.snapshot();
-  out += ",\"mount\":{\"app_writes\":" + std::to_string(s.app_writes);
-  out += ",\"app_bytes\":" + std::to_string(s.app_bytes);
-  out += ",\"full_flushes\":" + std::to_string(s.full_flushes);
-  out += ",\"partial_flushes\":" + std::to_string(s.partial_flushes);
-  out += ",\"chunk_steals\":" + std::to_string(s.chunk_steals) + "}";
-
-  out += ",\"epoch_open\":";
-  if (epochs_ != nullptr) {
-    const auto open = epochs_->open_epoch(now);
-    out += open.has_value() ? open->to_json() : std::string("null");
-    out += ",\"epochs\":" + obs::epochs_to_json(epochs_->records());
-    out += ",\"epochs_completed\":" + std::to_string(epochs_->total_finalized());
-  } else {
-    out += "null,\"epochs\":[],\"epochs_completed\":0";
-  }
-
-  out += ",\"events\":" + obs::events_to_json(events_.snapshot());
-  out += ",\"slow\":" + slow_.to_json();
-  out += ",\"pipeline\":" + metrics_.snapshot().to_json();
-  out += ",\"controller\":" + controller_json();
-  out += ",\"journal\":" + journal_json();
-  out += ",\"slo\":" + slo_json();
-  out += ",\"tier\":" + tier_json();
-  if (sampler_ != nullptr) {
-    out += ",\"samples_taken\":" + std::to_string(sampler_->samples_taken());
-  }
+  out += ",\"config\":";
+  obs::append_json_string(out, cfg_.describe());
+  out += "," + shared_sections_json(now);
 
   // Bounded trace tail: the last pipeline spans before the crash. Kept
   // small so the document fits the recorder's reserved buffer even with
@@ -1320,9 +1191,9 @@ std::string Crfs::render_postmortem() const {
   out += ",\"trace_tail\":[";
   for (std::size_t i = first; i < spans.size(); ++i) {
     if (i > first) out += ",";
-    out += "{\"name\":\"";
-    append_json_escaped(out, spans[i].name);
-    out += "\",\"tid\":" + std::to_string(spans[i].tid);
+    out += "{\"name\":";
+    obs::append_json_string(out, spans[i].name);
+    out += ",\"tid\":" + std::to_string(spans[i].tid);
     out += ",\"ts_ns\":" + std::to_string(spans[i].ts_ns);
     out += ",\"dur_ns\":" + std::to_string(spans[i].dur_ns);
     out += ",\"trace_id\":" + std::to_string(spans[i].trace_id) + "}";

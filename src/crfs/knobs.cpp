@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "obs/json_lite.h"
+
 namespace crfs {
 namespace {
 
@@ -18,19 +20,6 @@ void append_num(std::string& out, double v) {
     std::snprintf(buf, sizeof(buf), "%g", v);
   }
   out += buf;
-}
-
-void append_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
 }
 
 }  // namespace
@@ -144,17 +133,17 @@ std::string KnobPlane::to_json() const {
   out += ",\"knobs\":[";
   for (std::size_t i = 0; i < defs_.size(); ++i) {
     if (i > 0) out += ',';
-    out += "{\"name\":\"";
-    append_escaped(out, defs_[i].name);
-    out += "\",\"value\":";
+    out += "{\"name\":";
+    obs::append_json_string(out, defs_[i].name);
+    out += ",\"value\":";
     append_num(out, values_[i]);
     out += ",\"min\":";
     append_num(out, defs_[i].min_value);
     out += ",\"max\":";
     append_num(out, defs_[i].max_value);
-    out += ",\"unit\":\"";
-    append_escaped(out, defs_[i].unit);
-    out += "\"}";
+    out += ",\"unit\":";
+    obs::append_json_string(out, defs_[i].unit);
+    out += "}";
   }
   out += "]}";
   return out;

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "obs/json_lite.h"
+
 namespace crfs::obs {
 namespace {
 
@@ -18,19 +20,6 @@ void append_num(std::string& out, double v) {
   out += buf;
 }
 
-void append_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-}
-
 }  // namespace
 
 std::string CtlDecision::to_json() const {
@@ -40,23 +29,23 @@ std::string CtlDecision::to_json() const {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(ts_ns));
   out += buf;
-  out += ",\"source\":\"";
-  append_escaped(out, source);
-  out += "\",\"rule\":\"";
-  append_escaped(out, rule);
-  out += "\",\"knob\":\"";
-  append_escaped(out, knob);
-  out += "\",\"requested\":";
+  out += ",\"source\":";
+  append_json_string(out, source);
+  out += ",\"rule\":";
+  append_json_string(out, rule);
+  out += ",\"knob\":";
+  append_json_string(out, knob);
+  out += ",\"requested\":";
   append_num(out, requested);
   out += ",\"from\":";
   append_num(out, from);
   out += ",\"to\":";
   append_num(out, to);
-  out += ",\"outcome\":\"";
-  append_escaped(out, outcome);
-  out += "\",\"reason\":\"";
-  append_escaped(out, reason);
-  out += "\",\"generation\":";
+  out += ",\"outcome\":";
+  append_json_string(out, outcome);
+  out += ",\"reason\":";
+  append_json_string(out, reason);
+  out += ",\"generation\":";
   append_num(out, static_cast<double>(generation));
   out += "}";
   return out;

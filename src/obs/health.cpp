@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "obs/json_lite.h"
+
 namespace crfs::obs {
 
 const char* severity_name(Severity s) {
@@ -13,33 +15,13 @@ const char* severity_name(Severity s) {
   return "unknown";
 }
 
-namespace {
-
-void append_json_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-}
-
-}  // namespace
-
 std::string Event::to_json() const {
   std::string out = "{\"severity\":\"";
   out += severity_name(severity);
-  out += "\",\"rule\":\"";
-  append_json_escaped(out, rule);
-  out += "\",\"message\":\"";
-  append_json_escaped(out, message);
-  out += "\"";
+  out += "\",\"rule\":";
+  append_json_string(out, rule);
+  out += ",\"message\":";
+  append_json_string(out, message);
   char num[96];
   std::snprintf(num, sizeof(num), ",\"value\":%.3f,\"threshold\":%.3f,\"ts_ns\":%llu}",
                 value, threshold, static_cast<unsigned long long>(ts_ns));

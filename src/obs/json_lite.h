@@ -1,14 +1,19 @@
-// json_lite: a minimal recursive-descent JSON parser, header-only.
+// json_lite: the one JSON string writer of this repo, plus a minimal
+// recursive-descent JSON parser, header-only.
 //
-// Exists so tests and `crfsctl trace` can parse the Chrome trace / stats
-// JSON this repo emits back into a typed value and schema-check it,
-// without taking a JSON library dependency. Supports the full JSON value
-// grammar except \uXXXX escapes beyond the BMP-passthrough below; numbers
-// parse as double. Not a general-purpose parser: inputs are our own
-// well-formed output, errors just return nullopt.
+// append_json_string is how every emitter (stats_json, postmortem, journal
+// frames, epoch/slow/event/decision rows, Chrome traces) writes a string,
+// so no document carries a raw control byte or an unescaped quote. The
+// parser exists so tests and `crfsctl` can read those documents back into
+// a typed value and schema-check them, without a JSON library dependency.
+// It supports the full JSON value grammar; \uXXXX escapes below 0x80
+// decode exactly, others to '?'; numbers parse as double. Not a
+// general-purpose parser: inputs are our own output, errors just return
+// nullopt.
 #pragma once
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -17,11 +22,35 @@
 #include <string_view>
 #include <vector>
 
-namespace crfs::obs::json {
+namespace crfs::obs {
 
-struct Value;
-using Object = std::map<std::string, Value>;
-using Array = std::vector<Value>;
+/// Appends `s` to `out` as a quoted JSON string: quote, backslash and every
+/// byte below 0x20 are escaped (\n, \r, \t by name, the rest as \u00XX).
+inline void append_json_string(std::string& out, std::string_view s) {
+  out += '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+}
+
+}  // namespace crfs::obs
+
+namespace crfs::obs::json {
 
 struct Value {
   enum class Type { Null, Bool, Number, String, Array, Object };
@@ -30,8 +59,9 @@ struct Value {
   bool boolean = false;
   double number = 0.0;
   std::string string;
-  std::shared_ptr<Array> array;     // shared_ptr: Value stays copyable while
-  std::shared_ptr<Object> object;   // the struct is still incomplete above
+  // shared_ptr: Value stays copyable while the struct is still incomplete.
+  std::shared_ptr<std::vector<Value>> array;
+  std::shared_ptr<std::map<std::string, Value>> object;
 
   bool is_object() const { return type == Type::Object; }
   bool is_array() const { return type == Type::Array; }
@@ -102,11 +132,16 @@ class Parser {
           case 'n': out += '\n'; break;
           case 'r': out += '\r'; break;
           case 't': out += '\t'; break;
-          case 'u':
+          case 'u': {
             if (pos_ + 4 > text_.size()) return std::nullopt;
-            out += '?';  // placeholder; we never emit non-ASCII
+            char* end = nullptr;
+            const std::string hex(text_.substr(pos_, 4));
+            const unsigned long cp = std::strtoul(hex.c_str(), &end, 16);
+            if (end != hex.c_str() + 4) return std::nullopt;
             pos_ += 4;
+            out += cp < 0x80 ? static_cast<char>(cp) : '?';  // we emit only \u00XX
             break;
+          }
           default: return std::nullopt;
         }
       } else {
@@ -124,7 +159,7 @@ class Parser {
     if (c == '{') {
       ++pos_;
       v.type = Value::Type::Object;
-      v.object = std::make_shared<Object>();
+      v.object = std::make_shared<std::map<std::string, Value>>();
       skip_ws();
       if (consume('}')) return v;
       for (;;) {
@@ -141,7 +176,7 @@ class Parser {
     if (c == '[') {
       ++pos_;
       v.type = Value::Type::Array;
-      v.array = std::make_shared<Array>();
+      v.array = std::make_shared<std::vector<Value>>();
       skip_ws();
       if (consume(']')) return v;
       for (;;) {

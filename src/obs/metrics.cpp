@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "common/table.h"
+#include "obs/json_lite.h"
 
 namespace crfs::obs {
 
@@ -121,43 +122,22 @@ std::string Registry::Snapshot::render_table() const {
   return out;
 }
 
-namespace {
-
-void append_json_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-}
-
-}  // namespace
-
 std::string Registry::Snapshot::to_json() const {
   std::string out = "{\"counters\":{";
   bool first = true;
   for (const auto& [name, v] : counters) {
     if (!first) out += ",";
     first = false;
-    out += "\"";
-    append_json_escaped(out, name);
-    out += "\":" + std::to_string(v);
+    append_json_string(out, name);
+    out += ":" + std::to_string(v);
   }
   out += "},\"gauges\":{";
   first = true;
   for (const auto& [name, v] : gauges) {
     if (!first) out += ",";
     first = false;
-    out += "\"";
-    append_json_escaped(out, name);
-    out += "\":" + std::to_string(v);
+    append_json_string(out, name);
+    out += ":" + std::to_string(v);
   }
   out += "},\"histograms\":{";
   first = true;
@@ -165,10 +145,9 @@ std::string Registry::Snapshot::to_json() const {
   for (const auto& [name, h] : histograms) {
     if (!first) out += ",";
     first = false;
-    out += "\"";
-    append_json_escaped(out, name);
+    append_json_string(out, name);
     std::snprintf(num, sizeof(num),
-                  "\":{\"count\":%llu,\"sum\":%llu,\"max\":%llu,\"p50\":%.1f,"
+                  ":{\"count\":%llu,\"sum\":%llu,\"max\":%llu,\"p50\":%.1f,"
                   "\"p95\":%.1f,\"p99\":%.1f}",
                   static_cast<unsigned long long>(h.count),
                   static_cast<unsigned long long>(h.sum),

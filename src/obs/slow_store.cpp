@@ -2,26 +2,11 @@
 
 #include <cstdio>
 
+#include "obs/json_lite.h"
+
 namespace crfs::obs {
 
 namespace {
-
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-}
 
 void append_u64(std::string& out, const char* key, std::uint64_t v) {
   out += ",\"";

@@ -1,34 +1,9 @@
 #include "sim/crfs_sim.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <vector>
 
 namespace crfs::sim {
-namespace {
-
-// Minimal JSON string escaping for the journal meta frame (same contract
-// as the per-TU helpers in src/obs: quotes, backslashes, control chars).
-void append_meta_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-}  // namespace
 
 CrfsSimNode::CrfsSimNode(Simulation& sim, const Calibration& cal, BackendSim& backend,
                          unsigned node, crfs::Config config, crfs::FuseOptions fuse,
@@ -40,73 +15,38 @@ CrfsSimNode::CrfsSimNode(Simulation& sim, const Calibration& cal, BackendSim& ba
       config_(config),
       fuse_(fuse),
       ppn_(ppn),
+      telemetry_(config_, [this] { return now_ns(); }),
       free_chunks_(static_cast<unsigned>(config.num_chunks() > 0 ? config.num_chunks() : 1)),
       fuse_station_(sim, 1),
       chunk_available_(sim),
       job_ready_(sim),
       cqe_slot_(sim),
-      slow_(config.slow_exemplars,
-            static_cast<std::uint64_t>(config.slow_capture_ms) * 1'000'000) {
+      epochs_(telemetry_.epochs()) {
   // Same registry schema as the real mount (crfs.cpp), read on virtual
   // time by an obs::Sampler via sample_loop(). The single-threaded sim
   // pays nothing for the atomics.
-  h_pwrite_ = &metrics_.histogram("crfs.io.pwrite_ns");
-  c_pwrite_bytes_ = &metrics_.counter("crfs.io.pwrite_bytes");
-  h_lag_ = &metrics_.histogram("crfs.chunk.durability_lag_ns");
+  obs::Registry& reg = telemetry_.registry();
+  h_pwrite_ = &reg.histogram("crfs.io.pwrite_ns");
+  c_pwrite_bytes_ = &reg.counter("crfs.io.pwrite_bytes");
+  h_lag_ = &reg.histogram("crfs.chunk.durability_lag_ns");
   // Registered for both engines (schema parity with the real mount); only
   // the uring mirror records non-trivial depths.
-  h_inflight_depth_ = &metrics_.histogram("crfs.io.inflight_depth");
+  h_inflight_depth_ = &reg.histogram("crfs.io.inflight_depth");
   // Restart-scan mirror: same crfs.read.* schema as the real mount, so an
   // obs::Controller's shed_readahead rule ticks unchanged on virtual time.
-  h_read_ = &metrics_.histogram("crfs.read.pread_ns");
-  h_read_inflight_ = &metrics_.histogram("crfs.read.inflight_depth");
-  c_read_ops_ = &metrics_.counter("crfs.read.ops");
-  c_read_bytes_ = &metrics_.counter("crfs.read.bytes");
-  c_prefetch_issued_ = &metrics_.counter("crfs.read.prefetch_issued");
-  c_prefetch_hits_ = &metrics_.counter("crfs.read.prefetch_hits");
-  c_prefetch_wasted_ = &metrics_.counter("crfs.read.prefetch_wasted");
-  c_sync_preads_ = &metrics_.counter("crfs.read.sync_preads");
-  metrics_.gauge_fn("crfs.io.engine_inflight",
-                    [this] { return static_cast<std::int64_t>(engine_inflight_); });
-  metrics_.gauge_fn("crfs.pool.free_chunks",
-                    [this] { return static_cast<std::int64_t>(free_chunks_); });
-  metrics_.gauge_fn("crfs.queue.depth",
-                    [this] { return static_cast<std::int64_t>(queue_.size()); });
-  if (config_.epoch_tracking) {
-    epochs_ = std::make_unique<obs::EpochTracker>(
-        obs::EpochTracker::Options{
-            .gap_ns = static_cast<std::uint64_t>(config_.epoch_gap_ms) * 1'000'000,
-            .ledger_capacity = config_.epoch_ledger},
-        &metrics_);
-  }
-  // Journal/SLO mirror: same construction gates as the real mount, but no
-  // flusher thread — observe_sample() drives flushes on virtual time, so
-  // segment bytes replay identically.
-  if (!config_.journal_dir.empty()) {
-    journal_ = std::make_unique<obs::Journal>(
-        obs::JournalOptions{.dir = config_.journal_dir,
-                            .segment_bytes = config_.journal_segment_bytes,
-                            .max_bytes = config_.journal_max_bytes,
-                            .flush_ms = config_.journal_flush_ms,
-                            .fsync_ms = config_.journal_fsync_ms},
-        &metrics_);
-    events_.set_listener([this](const obs::Event& ev) {
-      journal_->append(obs::FrameType::kEvent, ev.ts_ns, ev.to_json());
-    });
-    std::string meta = "{\"crfs_journal\":1,\"config\":\"";
-    append_meta_escaped(meta, config_.describe());
-    meta += "\",\"sample_ms\":" + std::to_string(config_.sample_ms);
-    meta += ",\"slo\":";
-    meta += config_.slo_enabled() ? config_.slo_config().to_json() : std::string("null");
-    meta += "}";
-    journal_->set_meta(meta, now_ns());
-  }
-  if (config_.slo_enabled()) {
-    slo_ = std::make_unique<obs::SloMonitor>(config_.slo_config(), &metrics_, &events_);
-  }
-  if (journal_ != nullptr || slo_ != nullptr) {
-    slo_extract_ = std::make_unique<obs::SloExtractor>();
-  }
+  h_read_ = &reg.histogram("crfs.read.pread_ns");
+  h_read_inflight_ = &reg.histogram("crfs.read.inflight_depth");
+  c_read_ops_ = &reg.counter("crfs.read.ops");
+  c_read_bytes_ = &reg.counter("crfs.read.bytes");
+  c_prefetch_issued_ = &reg.counter("crfs.read.prefetch_issued");
+  c_prefetch_hits_ = &reg.counter("crfs.read.prefetch_hits");
+  c_prefetch_wasted_ = &reg.counter("crfs.read.prefetch_wasted");
+  c_sync_preads_ = &reg.counter("crfs.read.sync_preads");
+  reg.gauge_fn("crfs.io.engine_inflight",
+               [this] { return static_cast<std::int64_t>(engine_inflight_); });
+  reg.gauge_fn("crfs.pool.free_chunks",
+               [this] { return static_cast<std::int64_t>(free_chunks_); });
+  reg.gauge_fn("crfs.queue.depth", [this] { return static_cast<std::int64_t>(queue_.size()); });
   define_knobs();
 }
 
@@ -172,7 +112,7 @@ void CrfsSimNode::define_knobs() {
       crfs::KnobDef{"slow_capture_ms", 0.0, 100000.0, "ms"},
       static_cast<double>(config_.slow_capture_ms),
       [this](double v, double*, std::string*) {
-        slow_.set_threshold_ns(static_cast<std::uint64_t>(v) * 1'000'000);
+        telemetry_.slow().set_threshold_ns(static_cast<std::uint64_t>(v) * 1'000'000);
         return true;
       });
   knobs_.define(
@@ -562,7 +502,7 @@ Task CrfsSimNode::write_run(std::vector<Job> run, std::uint64_t dequeue_now,
     }
     const std::uint64_t device =
         t_done > submit_ns ? t_done - submit_ns : 0;
-    if (slow_.over_threshold(lag, device)) {
+    if (telemetry_.slow().over_threshold(lag, device)) {
       // Same exemplar shape as the real IO pool, on virtual time; two
       // replays of one workload capture byte-identical chains.
       obs::SlowExemplar ex;
@@ -587,7 +527,7 @@ Task CrfsSimNode::write_run(std::vector<Job> run, std::uint64_t dequeue_now,
       ex.free_chunks = free_chunks_;
       ex.knob_generation = knobs_.generation();
       ex.engine = io_engine_name(config_.io_engine);
-      slow_.capture(std::move(ex));
+      telemetry_.slow().capture(std::move(ex));
     }
   }
 
@@ -639,28 +579,9 @@ void CrfsSimNode::stop() {
   stopping_ = true;
   job_ready_.pulse();
   // All closes have drained by the time an experiment stops its node, so
-  // the final record carries complete durable counts.
-  if (epochs_ != nullptr) epochs_->finalize_open(now_ns());
-  if (journal_ != nullptr) {
-    // Catch the epoch just finalized, then seal the tail. stop() flushes
-    // with the wall clock, which only times the final fsync — every frame
-    // already carries its virtual timestamp, so the bytes stay replayable.
-    const std::uint64_t t = now_ns();
-    if (epochs_ != nullptr) {
-      const std::uint64_t total = epochs_->total_finalized();
-      if (total > journaled_epochs_) {
-        const auto recs = epochs_->records();
-        std::uint64_t owed = total - journaled_epochs_;
-        if (owed > recs.size()) owed = recs.size();
-        for (std::size_t i = recs.size() - static_cast<std::size_t>(owed);
-             i < recs.size(); ++i) {
-          journal_->append(obs::FrameType::kEpoch, recs[i].end_ns, recs[i].to_json());
-        }
-        journaled_epochs_ = total;
-      }
-    }
-    journal_->flush(t, /*force_fsync=*/true);
-  }
+  // the final record carries complete durable counts; finish() journals it
+  // with any slow exemplars captured since the last tick.
+  telemetry_.finish(now_ns());
 }
 
 void CrfsSimNode::epoch_begin(const std::string& label) {
@@ -679,50 +600,12 @@ std::vector<obs::EpochRecord> CrfsSimNode::epochs() const {
 Task CrfsSimNode::sample_loop(obs::Sampler& sampler, double interval_s) {
   while (!stopping_) {
     co_await sim_.delay(interval_s);
-    observe_sample(sampler.tick(static_cast<std::uint64_t>(sim_.now() * 1e9)));
+    const obs::Sample s = sampler.tick(static_cast<std::uint64_t>(sim_.now() * 1e9));
+    telemetry_.observe(s);
+    // Flush on virtual time: frame bytes (and rotation points) depend only
+    // on the workload, never on wall-clock scheduling.
+    if (obs::Journal* journal = telemetry_.journal()) journal->tick(s.ts_ns);
   }
-}
-
-void CrfsSimNode::observe_sample(const obs::Sample& s) {
-  if (slo_extract_ != nullptr) {
-    const obs::SloInput in = slo_extract_->extract(s);
-    if (slo_ != nullptr) slo_->observe(in);
-    if (journal_ != nullptr) {
-      journal_->append(obs::FrameType::kSample, s.ts_ns,
-                       obs::journal_sample_json(s, in));
-    }
-  }
-  if (journal_ == nullptr) return;
-  // Cold sinks, exactly like Crfs::journal_poll_cold_sinks: journal
-  // whatever finalized since the last tick, indexing from the tail.
-  if (epochs_ != nullptr) {
-    const std::uint64_t total = epochs_->total_finalized();
-    if (total > journaled_epochs_) {
-      const auto recs = epochs_->records();
-      std::uint64_t owed = total - journaled_epochs_;
-      if (owed > recs.size()) owed = recs.size();
-      for (std::size_t i = recs.size() - static_cast<std::size_t>(owed);
-           i < recs.size(); ++i) {
-        journal_->append(obs::FrameType::kEpoch, recs[i].end_ns, recs[i].to_json());
-      }
-      journaled_epochs_ = total;
-    }
-  }
-  const std::uint64_t captured = slow_.captured();
-  if (captured > journaled_slow_) {
-    const auto exemplars = slow_.snapshot();
-    std::uint64_t owed = captured - journaled_slow_;
-    if (owed > exemplars.size()) owed = exemplars.size();
-    for (std::size_t i = exemplars.size() - static_cast<std::size_t>(owed);
-         i < exemplars.size(); ++i) {
-      journal_->append(obs::FrameType::kSlow, exemplars[i].durable_ns,
-                       exemplars[i].to_json());
-    }
-    journaled_slow_ = captured;
-  }
-  // Flush on virtual time: frame bytes (and rotation points) depend only
-  // on the workload, never on wall-clock scheduling.
-  journal_->tick(s.ts_ns);
 }
 
 }  // namespace crfs::sim

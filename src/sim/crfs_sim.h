@@ -18,13 +18,7 @@
 
 #include "crfs/config.h"
 #include "crfs/knobs.h"
-#include "obs/epoch.h"
-#include "obs/health.h"
-#include "obs/journal.h"
-#include "obs/metrics.h"
-#include "obs/sampler.h"
-#include "obs/slo.h"
-#include "obs/slow_store.h"
+#include "crfs/telemetry.h"
 #include "sim/backend_sim.h"
 
 namespace crfs::sim {
@@ -66,8 +60,8 @@ class CrfsSimNode {
   /// (crfs.pool.free_chunks, crfs.queue.depth, crfs.io.pwrite_ns/_bytes
   /// — see docs/OBSERVABILITY.md) with virtual-time nanoseconds, so an
   /// obs::Sampler and HealthMonitor run unchanged over a simulated node.
-  obs::Registry& metrics() { return metrics_; }
-  const obs::Registry& metrics() const { return metrics_; }
+  obs::Registry& metrics() { return telemetry_.registry(); }
+  const obs::Registry& metrics() const { return telemetry_.registry(); }
 
   /// Drives `sampler` every `interval_s` of virtual time until stop() —
   /// the deterministic twin of the real mount's sampler thread. Spawn it
@@ -96,25 +90,23 @@ class CrfsSimNode {
   /// Slow-chunk exemplars on virtual nanoseconds. Trace ids come from the
   /// node's own deterministic counter, so two runs of the same workload
   /// produce byte-identical slow_json().
-  obs::SlowStore& slow_store() { return slow_; }
-  const obs::SlowStore& slow_store() const { return slow_; }
-  std::string slow_json() const { return slow_.to_json(); }
+  obs::SlowStore& slow_store() { return telemetry_.slow(); }
+  const obs::SlowStore& slow_store() const { return telemetry_.slow(); }
+  std::string slow_json() const { return telemetry_.slow().to_json(); }
 
   // -- Durable journal + SLO mirror (virtual-time twins) --------------------
   /// Telemetry journal on virtual nanoseconds (nullptr unless
   /// Config::journal_dir is set). No flusher thread: sample_loop drives
   /// appends and flushes, and every frame carries a virtual timestamp, so
   /// two replays of the same workload produce byte-identical segments.
-  obs::Journal* journal() { return journal_.get(); }
+  obs::Journal* journal() { return telemetry_.journal(); }
   /// SLO burn-rate monitor on virtual time (nullptr unless slo targets
   /// are configured). Deterministic: two runs of the same workload
   /// produce byte-identical slo_json().
-  obs::SloMonitor* slo_monitor() { return slo_.get(); }
-  std::string slo_json() const {
-    return slo_ != nullptr ? slo_->to_json() : "{\"enabled\":false}";
-  }
+  obs::SloMonitor* slo_monitor() { return telemetry_.slo(); }
+  std::string slo_json() const { return telemetry_.slo_json(); }
   /// Structured events on virtual time (SLO breach/recovery land here).
-  obs::EventBuffer& events() { return events_; }
+  obs::EventBuffer& events() { return telemetry_.events(); }
 
   /// Current virtual time as integer nanoseconds (the clock the epoch
   /// ledger and the mirrored histograms run on).
@@ -177,10 +169,6 @@ class CrfsSimNode {
   Task io_worker(unsigned worker);
   /// Registers the runtime knob set against the sim state (ctor tail).
   void define_knobs();
-  /// Tick tail of sample_loop: SLO observation, journal sample frame,
-  /// cold-sink (epoch/slow) journaling, journal flush — the deterministic
-  /// twin of the real mount's composite tick observer.
-  void observe_sample(const obs::Sample& s);
   /// One coalesced run's backend write plus all per-chunk completion
   /// bookkeeping (pwrite histograms, epoch attribution, pool release).
   /// The sync engine awaits it inline (worker blocked for the duration,
@@ -210,6 +198,11 @@ class CrfsSimNode {
   crfs::Config config_;
   crfs::FuseOptions fuse_;
   unsigned ppn_;
+  /// The same telemetry plane as the real mount, on virtual time: epoch
+  /// ledger, slow exemplars, events, journal and SLO monitor. No journal
+  /// flusher thread — sample_loop drives flushes, and every frame carries
+  /// a virtual timestamp, so replays are byte-identical.
+  Telemetry telemetry_;
 
   unsigned free_chunks_;
   Resource fuse_station_;   ///< the node's serialized FUSE request queue
@@ -226,8 +219,7 @@ class CrfsSimNode {
   std::uint64_t pool_waits_ = 0;
   std::unordered_map<FileId, FileState> files_;
 
-  // Virtual-time telemetry (same names as the real mount's registry).
-  obs::Registry metrics_;
+  // Virtual-time metric handles (same names as the real mount's registry).
   obs::LatencyHistogram* h_pwrite_ = nullptr;
   obs::Counter* c_pwrite_bytes_ = nullptr;
   obs::LatencyHistogram* h_lag_ = nullptr;
@@ -242,19 +234,8 @@ class CrfsSimNode {
   obs::Counter* c_prefetch_wasted_ = nullptr;
   obs::Counter* c_sync_preads_ = nullptr;
 
-  /// Epoch ledger on virtual time (nullptr when Config::epoch_tracking is
-  /// off). Same EpochTracker as the real mount; only the clock differs.
-  std::unique_ptr<obs::EpochTracker> epochs_;
-
-  /// Slow-exemplar store on virtual time (same SlowStore as the mount).
-  obs::SlowStore slow_;
-  /// Event buffer + journal/SLO mirror (see journal()/slo_monitor()).
-  obs::EventBuffer events_;
-  std::unique_ptr<obs::Journal> journal_;
-  std::unique_ptr<obs::SloMonitor> slo_;
-  std::unique_ptr<obs::SloExtractor> slo_extract_;
-  std::uint64_t journaled_epochs_ = 0;
-  std::uint64_t journaled_slow_ = 0;
+  /// telemetry_.epochs(): nullptr when Config::epoch_tracking is off.
+  obs::EpochTracker* const epochs_;
   /// Deterministic causal-id counter (mirror of Crfs::next_trace_id_; a
   /// plain integer — the sim is single-threaded).
   std::uint64_t next_trace_id_ = 1;

@@ -338,6 +338,42 @@ TEST(JournalSim, ReplaysAreByteIdenticalIncludingBurnRates) {
   EXPECT_EQ(a.journal_bytes, b.journal_bytes);
 }
 
+// Unmount parity: ~Crfs journals every slow exemplar still owed, and so
+// must the DES node's stop(). With no sample loop there is no tick to
+// journal the exemplars, so every kSlow frame comes from stop().
+TEST(JournalSim, StopJournalsSlowExemplarsCapturedAfterTheLastTick) {
+  const std::string dir = fresh_dir("sim_stop_slow");
+  sim::Simulation sim;
+  sim::Calibration cal;
+  sim::ThrottledBackendSim backend(sim);
+  Config cfg;
+  cfg.chunk_size = 1 * MiB;
+  cfg.pool_size = 8 * MiB;
+  cfg.io_threads = 2;
+  cfg.sample_ms = 10;
+  cfg.journal_dir = dir;
+  cfg.journal_fsync_ms = 0;
+  cfg.slow_capture_ms = 1;  // every throttled chunk write crosses this
+  sim::CrfsSimNode node(sim, cal, backend, /*node=*/0, cfg, FuseOptions{}, /*ppn=*/1);
+  node.start();
+  sim.spawn(drive_sim(node, 16 * MiB));
+  sim.run();
+
+  const auto exemplars = node.slow_store().snapshot();
+  ASSERT_FALSE(exemplars.empty());
+  ASSERT_EQ(node.slow_store().captured(), exemplars.size());
+  const auto r = obs::JournalReader::read_dir(dir);
+  ASSERT_TRUE(r.ok) << r.error;
+  std::vector<std::string> journaled;
+  for (const auto& rec : r.records) {
+    if (rec.type == obs::FrameType::kSlow) journaled.push_back(rec.payload);
+  }
+  ASSERT_EQ(journaled.size(), exemplars.size());
+  for (std::size_t i = 0; i < exemplars.size(); ++i) {
+    EXPECT_EQ(journaled[i], exemplars[i].to_json()) << i;
+  }
+}
+
 // ------------------------------------------------- real-mount breach e2e
 
 TEST(JournalMount, ThrottledBackendDrivesVisibleSloBreach) {

@@ -10,12 +10,18 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include <unistd.h>
+
 #include "backend/mem_backend.h"
+#include "backend/posix_backend.h"
+#include "backend/tiered_backend.h"
 #include "backend/wrappers.h"
 #include "common/units.h"
 #include "crfs/crfs.h"
@@ -203,15 +209,41 @@ TEST(Registry, JsonRendersAndParses) {
 }
 
 TEST(MountStatsSnapshot, CopiesAllCounters) {
-  MountStats stats;
-  stats.app_writes.store(3);
-  stats.app_bytes.store(1024);
-  stats.chunk_steals.store(1);
-  const MountStats::Snapshot s = stats.snapshot();
+  // MountStats keeps no counts of its own: the snapshot reads the
+  // registry, and every crfs.mount.* counter a mount registers reaches it.
+  auto fs = Crfs::mount(std::make_shared<MemBackend>(), Config{});
+  ASSERT_TRUE(fs.ok());
+  obs::Registry& reg = fs.value()->metrics();
+  reg.counter("crfs.mount.app_writes").add(3);
+  reg.counter("crfs.mount.app_bytes").add(1024);
+  reg.counter("crfs.mount.chunk_steals").add(1);
+  MountStats::Snapshot s = fs.value()->stats().snapshot();
   EXPECT_EQ(s.app_writes, 3u);
   EXPECT_EQ(s.app_bytes, 1024u);
   EXPECT_EQ(s.chunk_steals, 1u);
   EXPECT_EQ(s.full_flushes, 0u);
+
+  // A distinct power of two per counter: the snapshot's fields must add
+  // up to exactly the crfs.mount.* values plus crfs.read.ops/bytes.
+  std::uint64_t expected = 0;
+  std::size_t mount_counters = 0;
+  std::uint64_t bit = 1u << 12;
+  for (const auto& [name, value] : reg.snapshot().counters) {
+    const bool mount = name.rfind("crfs.mount.", 0) == 0;
+    if (!mount && name != "crfs.read.ops" && name != "crfs.read.bytes") continue;
+    mount_counters += mount ? 1 : 0;
+    reg.counter(name).add(bit);
+    expected |= bit;
+    bit <<= 1;
+  }
+  EXPECT_EQ(mount_counters, 7u);
+  s = fs.value()->stats().snapshot();
+  const std::uint64_t fields[] = {s.app_writes,   s.app_bytes,    s.full_flushes,
+                                  s.partial_flushes, s.reopens,   s.chunk_steals,
+                                  s.bypass_writes, s.reads,       s.read_bytes};
+  std::uint64_t seen = 0;
+  for (const std::uint64_t f : fields) seen |= f & ~std::uint64_t{0xfff};
+  EXPECT_EQ(seen, expected);
 }
 
 // ------------------------------------------------------------- TraceRing
@@ -462,6 +494,57 @@ TEST(PipelineObs, StatsReportAndJson) {
                    static_cast<double>(3u * 2 * MiB));
   ASSERT_NE(parsed->get("pipeline"), nullptr);
   EXPECT_NE(parsed->get("pipeline")->get("histograms"), nullptr);
+}
+
+// stats_json carries strings from outside the mount (knob names written to
+// the tune file, backend root paths). Whatever bytes they hold, the
+// document must have no raw control byte, must parse, and must give the
+// string back unchanged.
+void expect_clean_json(const std::string& doc) {
+  const auto raw = std::count_if(doc.begin(), doc.end(),
+                                 [](char c) { return static_cast<unsigned char>(c) < 0x20; });
+  EXPECT_EQ(raw, 0) << doc;
+}
+
+TEST(StatsJsonEscaping, TuneFileControlBytesStayEscaped) {
+  auto fs = Crfs::mount(std::make_shared<MemBackend>(), Config{});
+  ASSERT_TRUE(fs.ok());
+  auto h = fs.value()->open(".crfs_tune", {.create = true, .truncate = false, .write = true});
+  ASSERT_TRUE(h.ok());
+  const std::string knob = "bad\x01knob";
+  const std::string cmd = knob + "=1";
+  EXPECT_FALSE(fs.value()->write(h.value(), std::as_bytes(std::span(cmd)), 0).ok());
+  ASSERT_TRUE(fs.value()->close(h.value()).ok());
+
+  const std::string doc = fs.value()->stats_json();
+  expect_clean_json(doc);
+  auto parsed = obs::json::parse(doc);
+  ASSERT_TRUE(parsed.has_value()) << doc;
+  const auto* decisions = parsed->get("controller")->get("decisions");
+  ASSERT_TRUE(decisions != nullptr && decisions->is_array() && !decisions->array->empty());
+  EXPECT_EQ(decisions->array->back().get("knob")->string, knob);
+}
+
+TEST(StatsJsonEscaping, TierBackendNamesAreEscaped) {
+  const std::string base = testing::TempDir() + "crfs_escape_" + std::to_string(::getpid());
+  const std::string root = base + "/stage\"q\\";
+  std::filesystem::remove_all(base);
+  ASSERT_TRUE(std::filesystem::create_directories(root));
+  auto stage = PosixBackend::create(root);
+  ASSERT_TRUE(stage.ok()) << stage.error().to_string();
+  std::shared_ptr<BackendFs> stage_fs = std::move(stage.value());
+  auto tier = std::make_shared<TieredBackend>(stage_fs, std::make_shared<MemBackend>(),
+                                              TieredOptions{});
+  auto fs = Crfs::mount(tier, Config{});
+  ASSERT_TRUE(fs.ok());
+
+  const std::string doc = fs.value()->stats_json();
+  expect_clean_json(doc);
+  auto parsed = obs::json::parse(doc);
+  ASSERT_TRUE(parsed.has_value()) << doc;
+  EXPECT_EQ(parsed->get("tier")->get("stage")->string, stage_fs->name());
+  fs.value().reset();
+  std::filesystem::remove_all(base);
 }
 
 // ------------------------------------------------------------ sim engine

@@ -19,6 +19,11 @@ struct Anchor {
   double tolerance;  ///< relative (0.3 = +/-30%)
 };
 
+// Without this gtest prints an Anchor as its raw bytes, and the `name`
+// pointer in them moves with address-space randomisation, so the test
+// names that gtest_discover_tests registers would change on every build.
+void PrintTo(const Anchor& a, std::ostream* os) { *os << '"' << a.name << '"'; }
+
 class CalibrationAnchor : public ::testing::TestWithParam<Anchor> {};
 
 TEST_P(CalibrationAnchor, WithinBand) {

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -146,6 +147,82 @@ TEST(TieredBackendTest, OverwriteAfterSealDrainsBothVersionsInOrder) {
   ASSERT_TRUE(remote_data.ok());
   EXPECT_EQ(remote_data.value(), v2);
   EXPECT_EQ(backend_read(tier, "a.img", v2.size()), v2);
+}
+
+// Forwards to `inner`; once armed, the next pread parks inside the call
+// until release(). Holds a reader between TieredBackend::pread's plan
+// (taken under the tier lock) and its stage read.
+class GatedReadBackend final : public BackendFs {
+ public:
+  explicit GatedReadBackend(std::shared_ptr<BackendFs> inner) : inner_(std::move(inner)) {}
+
+  void arm() { armed_ = true; }
+  void wait_entered() { entered_.get_future().wait(); }
+  void release() { release_.set_value(); }
+
+  Result<std::size_t> pread(BackendFile f, std::span<std::byte> d, std::uint64_t off) override {
+    if (armed_.exchange(false)) {
+      entered_.set_value();
+      release_.get_future().wait();
+    }
+    return inner_->pread(f, d, off);
+  }
+  Result<BackendFile> open_file(const std::string& path, OpenFlags flags) override {
+    return inner_->open_file(path, flags);
+  }
+  Status close_file(BackendFile f) override { return inner_->close_file(f); }
+  Status pwrite(BackendFile f, std::span<const std::byte> d, std::uint64_t off) override {
+    return inner_->pwrite(f, d, off);
+  }
+  Status fsync(BackendFile f) override { return inner_->fsync(f); }
+  Status truncate(BackendFile f, std::uint64_t s) override { return inner_->truncate(f, s); }
+  Result<BackendStat> stat(const std::string& p) override { return inner_->stat(p); }
+  Status mkdir(const std::string& p) override { return inner_->mkdir(p); }
+  Status rmdir(const std::string& p) override { return inner_->rmdir(p); }
+  Status unlink(const std::string& p) override { return inner_->unlink(p); }
+  Status rename(const std::string& a, const std::string& b) override {
+    return inner_->rename(a, b);
+  }
+  Result<std::vector<std::string>> list_dir(const std::string& p) override {
+    return inner_->list_dir(p);
+  }
+  std::string name() const override { return "gated(" + inner_->name() + ")"; }
+
+ private:
+  std::shared_ptr<BackendFs> inner_;
+  std::atomic<bool> armed_{false};
+  std::promise<void> entered_;
+  std::promise<void> release_;
+};
+
+TEST(TieredBackendTest, ReadRacingEvictionReturnsTheDrainedBytes) {
+  // The drain evicts a still-open file's unit by truncating its stage copy.
+  // A read that planned its stage segment before the eviction and reads
+  // after it must still return the bytes, now from the remote.
+  auto stage = std::make_shared<GatedReadBackend>(std::make_shared<MemBackend>());
+  auto remote = std::make_shared<MemBackend>();
+  TieredBackend tier(stage, remote, TieredOptions{});
+
+  const auto data = make_pattern(1 * MiB, 21);
+  auto f = tier.open_file("race.img", {.create = true, .truncate = true, .write = true});
+  ASSERT_TRUE(f.ok());
+  ASSERT_TRUE(tier.pwrite(f.value(), data, 0).ok());
+
+  std::vector<std::byte> got(data.size());
+  Result<std::size_t> n = std::size_t{0};
+  stage->arm();
+  std::thread reader([&] { n = tier.pread(f.value(), got, 0); });
+  stage->wait_entered();
+  tier.seal_epoch(1);
+  ASSERT_TRUE(tier.flush().ok());
+  EXPECT_EQ(tier.tier_stats().stage_used, 0u);  // evicted under the reader
+  stage->release();
+  reader.join();
+
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(n.value(), data.size());
+  EXPECT_TRUE(got == data) << "read racing eviction returned wrong bytes";
+  ASSERT_TRUE(tier.close_file(f.value()).ok());
 }
 
 // -- Fault injection: remote down mid-drain ----------------------------------
