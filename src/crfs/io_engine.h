@@ -12,9 +12,17 @@
 //                   Linux; selected at runtime with feature detection and
 //                   silent fallback to sync.
 //
-// Engines are per-worker (one ring per IO thread, no cross-thread ring
-// locking). All methods are called from the owning worker thread except
-// forget_file(), which application threads call at close().
+// Threading: a write engine belongs to one IO worker (one ring per IO
+// thread), which alone calls submit/flush/reap. The read engine is shared
+// by every application thread that reads through the mount (Readahead):
+//   * SyncEngine keeps no mutable state, so any number of threads may be
+//     inside submit_read() at once; each read runs on its caller's thread.
+//   * UringEngine's ring is single-consumer: callers serialize
+//     submit/submit_read/flush/reap under one lock. A submit_read() for a
+//     file without a raw fd completes inline through the backend and
+//     touches no ring state, so it needs no lock.
+// forget_file(), inflight(), capacity() and set_depth() are thread-safe on
+// every engine.
 #pragma once
 
 #include <cstdint>

@@ -7,6 +7,16 @@
 
 namespace crfs {
 
+namespace {
+
+void lower_to(std::atomic<std::uint64_t>& v, std::uint64_t x) {
+  std::uint64_t cur = v.load(std::memory_order_relaxed);
+  while (x < cur && !v.compare_exchange_weak(cur, x, std::memory_order_relaxed)) {
+  }
+}
+
+}  // namespace
+
 Readahead::Readahead(BackendFs& backend, BufferPool& pool, const IoEngineOptions& engine_opts,
                      std::vector<ChunkRegion> regions, IoEngineObs engine_obs, ReadObs obs,
                      std::size_t ledger_capacity)
@@ -17,47 +27,74 @@ Readahead::Readahead(BackendFs& backend, BufferPool& pool, const IoEngineOptions
   // The write CompleteFn never fires — this engine only carries reads.
   engine_ = make_io_engine(engine_opts, backend_, std::move(regions), engine_obs,
                            [](IoRun, Status, std::uint64_t, std::uint64_t) {});
-  // Runs inline from submit_read/reap, which are only called under mu_ —
-  // the lock is already held, so only touch slot/token state here.
-  engine_->set_read_complete([this](ReadRun run, Result<std::size_t> nread, std::uint64_t,
-                                    std::uint64_t) {
-    auto it = inflight_tokens_.find(run.token);
-    if (it == inflight_tokens_.end()) return;
-    Slot* slot = it->second;
-    inflight_tokens_.erase(it);
-    slot->owner->inflight -= 1;
-    if (nread.ok()) {
-      slot->valid = nread.value();
-      slot->chunk->set_fill(slot->valid);
-      slot->state = Slot::State::kReady;
-      if (slot->valid < slot->want) {
-        // Short read = EOF inside the slot: stop the window from issuing
-        // further reads past the end of the file.
-        slot->owner->eof_at = std::min(slot->owner->eof_at, slot->offset + slot->valid);
-      }
-    } else {
-      slot->state = Slot::State::kError;
-      slot->err = nread.error().code;
+  ring_ = std::strcmp(engine_->name(), "sync") != 0;
+  // Runs inline from submit_read (under the reading file's lock) or from a
+  // reap under engine_mu_ on whichever reader is waiting: touch only the
+  // slot and its owner's EOF mark. The release store of `state` is the
+  // last touch, since the owner may retire the slot right after it.
+  engine_->set_read_complete([](ReadRun run, Result<std::size_t> nread, std::uint64_t,
+                                std::uint64_t) {
+    auto* slot = reinterpret_cast<Slot*>(static_cast<std::uintptr_t>(run.token));
+    if (!nread.ok()) {
+      // The serve retries the range with a blocking pread, which reports
+      // the error if it persists.
+      slot->state.store(Slot::State::kError, std::memory_order_release);
+      return;
     }
+    slot->valid = nread.value();
+    slot->chunk->set_fill(slot->valid);
+    // Short read = EOF inside the slot: stop the window from issuing
+    // further reads past the end of the file.
+    if (slot->valid < slot->want) lower_to(slot->owner->eof_at, slot->offset + slot->valid);
+    slot->state.store(Slot::State::kReady, std::memory_order_release);
   });
 }
 
 Readahead::~Readahead() {
-  std::lock_guard lock(mu_);
-  for (auto& [entry, fs] : files_) {
-    drop_cache_locked(fs);
-    finalize_locked(fs);
+  std::vector<const FileEntry*> entries;
+  {
+    std::lock_guard lock(mu_);
+    for (const auto& [entry, fs] : files_) entries.push_back(entry);
   }
-  files_.clear();
+  for (const FileEntry* entry : entries) evict(entry);
   engine_.reset();
+}
+
+std::shared_ptr<Readahead::FileState> Readahead::state_for(const FileEntry* entry) {
+  std::lock_guard lock(mu_);
+  std::shared_ptr<FileState>& fs = files_[entry];
+  if (fs == nullptr) fs = std::make_shared<FileState>();
+  return fs;
+}
+
+bool Readahead::via_ring(BackendFile file) const {
+  // A ring engine completes reads of fd-less files (MemBackend, decorating
+  // wrappers) inline through the backend without touching the ring.
+  return ring_ && backend_.raw_fd(file) >= 0;
+}
+
+void Readahead::wait_slot(Slot& s) {
+  while (s.state.load(std::memory_order_acquire) == Slot::State::kInflight) {
+    std::lock_guard lock(engine_mu_);
+    // Another reader's reap may have completed it while this one queued.
+    if (s.state.load(std::memory_order_acquire) == Slot::State::kInflight) {
+      engine_->reap(/*wait=*/true);
+    }
+  }
 }
 
 Result<std::size_t> Readahead::read(const std::shared_ptr<FileEntry>& entry,
                                     std::span<std::byte> out, std::uint64_t offset,
                                     bool enabled, unsigned window) {
   const std::uint64_t t0 = obs::now_ns();
-  std::lock_guard lock(mu_);
-  FileState& fs = files_[entry.get()];
+  std::shared_ptr<FileState> held = state_for(entry.get());
+  std::unique_lock file_lock(held->mu);
+  while (!held->live) {  // evicted between the lookup and the lock
+    file_lock.unlock();
+    held = state_for(entry.get());
+    file_lock = std::unique_lock(held->mu);
+  }
+  FileState& fs = *held;
   if (!fs.touched) {
     fs.touched = true;
     fs.stats.path = entry->path();
@@ -72,7 +109,7 @@ Result<std::size_t> Readahead::read(const std::shared_ptr<FileEntry>& entry,
   if (gen != fs.gen_seen) {
     drop_cache_locked(fs);
     fs.gen_seen = gen;
-    fs.eof_at = ~std::uint64_t{0};
+    fs.eof_at.store(~std::uint64_t{0}, std::memory_order_relaxed);
   }
 
   // Sequential-scan detection: a seek drops the window, a match extends
@@ -87,7 +124,6 @@ Result<std::size_t> Readahead::read(const std::shared_ptr<FileEntry>& entry,
   // Serve from the cache window front-to-back.
   std::size_t served = 0;
   bool eof_hit = false;
-  int slot_err = 0;
   while (served < out.size() && !fs.slots.empty()) {
     const std::uint64_t pos = offset + served;
     Slot* s = fs.slots.front().get();
@@ -96,12 +132,10 @@ Result<std::size_t> Readahead::read(const std::shared_ptr<FileEntry>& entry,
       retire_front_locked(fs);
       continue;
     }
-    if (s->state == Slot::State::kInflight) {
-      while (s->state == Slot::State::kInflight) engine_->reap(/*wait=*/true);
-    }
-    if (s->state == Slot::State::kError) {
-      // Drop the failed slot and retry the range synchronously below.
-      slot_err = s->err;
+    wait_slot(*s);
+    if (s->state.load(std::memory_order_acquire) == Slot::State::kError) {
+      // Drop the failed slot and retry the range synchronously below; the
+      // retry reports any persistent error.
       retire_front_locked(fs);
       break;
     }
@@ -123,7 +157,6 @@ Result<std::size_t> Readahead::read(const std::shared_ptr<FileEntry>& entry,
       break;
     }
   }
-  (void)slot_err;  // the sync retry below reports any persistent error
 
   // Blocking tail for whatever the window did not cover.
   Status tail_error;
@@ -132,9 +165,7 @@ Result<std::size_t> Readahead::read(const std::shared_ptr<FileEntry>& entry,
     if (obs_.sync_preads != nullptr) obs_.sync_preads->add(1);
     fs.stats.sync_preads += 1;
     if (r.ok()) {
-      if (r.value() < out.size() - served) {
-        fs.eof_at = std::min(fs.eof_at, offset + served + r.value());
-      }
+      if (r.value() < out.size() - served) lower_to(fs.eof_at, offset + served + r.value());
       served += r.value();
     } else {
       tail_error = r.error();
@@ -162,23 +193,41 @@ Result<std::size_t> Readahead::read(const std::shared_ptr<FileEntry>& entry,
 }
 
 void Readahead::evict(const FileEntry* entry) {
+  std::shared_ptr<FileState> fs;
+  {
+    std::lock_guard lock(mu_);
+    auto it = files_.find(entry);
+    if (it == files_.end()) return;
+    fs = it->second;
+  }
+  std::lock_guard file_lock(fs->mu);
+  if (!fs->live) return;  // a concurrent evict finalized it first
+  drop_cache_locked(*fs);
+  fs->live = false;
   std::lock_guard lock(mu_);
+  finalize_locked(*fs);
   auto it = files_.find(entry);
-  if (it == files_.end()) return;
-  drop_cache_locked(it->second);
-  finalize_locked(it->second);
-  files_.erase(it);
+  if (it != files_.end() && it->second == fs) files_.erase(it);
 }
 
 void Readahead::forget_file(BackendFile file) { engine_->forget_file(file); }
 
 std::vector<RestoreLedgerEntry> Readahead::ledger_snapshot() const {
-  std::lock_guard lock(mu_);
-  std::vector<RestoreLedgerEntry> out(ledger_.begin(), ledger_.end());
-  for (const auto& [entry, fs] : files_) {
-    if (fs.stats.ops == 0) continue;
-    RestoreLedgerEntry row = fs.stats;
-    row.active = true;
+  std::vector<RestoreLedgerEntry> out;
+  std::vector<std::shared_ptr<FileState>> scans;
+  {
+    std::lock_guard lock(mu_);
+    out.assign(ledger_.begin(), ledger_.end());
+    for (const auto& [entry, fs] : files_) scans.push_back(fs);
+  }
+  // File locks order before mu_, so live rows are copied after releasing
+  // it. A scan evicted in between is missing from the ledger copy above
+  // and is reported here, once, as finalized.
+  for (const auto& fs : scans) {
+    std::lock_guard file_lock(fs->mu);
+    if (fs->stats.ops == 0) continue;
+    RestoreLedgerEntry row = fs->stats;
+    row.active = fs->live;
     out.push_back(std::move(row));
   }
   std::sort(out.begin(), out.end(), [](const RestoreLedgerEntry& a,
@@ -190,16 +239,14 @@ std::vector<RestoreLedgerEntry> Readahead::ledger_snapshot() const {
 }
 
 void Readahead::drop_cache_locked(FileState& fs) {
-  // Chunks with kernel reads in flight cannot be returned to the pool —
-  // wait those out first (the engine only carries reads, so completions
-  // are always forthcoming).
-  while (fs.inflight > 0) engine_->reap(/*wait=*/true);
   while (!fs.slots.empty()) retire_front_locked(fs);
 }
 
 void Readahead::retire_front_locked(FileState& fs) {
   Slot* s = fs.slots.front().get();
-  while (s->state == Slot::State::kInflight) engine_->reap(/*wait=*/true);
+  // A chunk with a kernel read in flight cannot go back to the pool (the
+  // engine only carries reads, so the completion is always forthcoming).
+  wait_slot(*s);
   if (!s->consumed) {
     if (obs_.prefetch_wasted != nullptr) obs_.prefetch_wasted->add(1);
     fs.stats.prefetch_wasted += 1;
@@ -212,12 +259,16 @@ void Readahead::top_up_locked(const FileEntry* entry, FileState& fs, std::uint64
                               unsigned window) {
   const std::size_t chunk_bytes = pool_.chunk_size();
   const std::size_t cap = std::min<std::size_t>(window, engine_->capacity());
+  // The ring lock is taken at the first submission and held through the
+  // flush; inline (sync) reads run under the file lock alone.
+  std::unique_lock ring_lock(engine_mu_, std::defer_lock);
+  const bool ring = via_ring(entry->backend_file());
   // The window is contiguous: new reads start where coverage ends.
   std::uint64_t cover_end = next;
   if (!fs.slots.empty()) {
     cover_end = std::max(cover_end, fs.slots.back()->offset + fs.slots.back()->want);
   }
-  while (fs.slots.size() < cap && cover_end < fs.eof_at) {
+  while (fs.slots.size() < cap && cover_end < fs.eof_at.load(std::memory_order_relaxed)) {
     // Opportunistic only: never starve checkpoint writers of chunks.
     auto chunk = pool_.try_acquire(cover_end);
     if (chunk == nullptr) break;
@@ -233,18 +284,17 @@ void Readahead::top_up_locked(const FileEntry* entry, FileState& fs, std::uint64
     run.offset = cover_end;
     run.segs.push_back(ReadSeg{slot->chunk->mutable_storage().data(), slot->want});
     run.total = slot->want;
-    run.token = next_token_++;
+    run.token = reinterpret_cast<std::uintptr_t>(slot.get());
     run.buf_index = slot->chunk->pool_index();
 
-    inflight_tokens_[run.token] = slot.get();
-    fs.inflight += 1;
     fs.slots.push_back(std::move(slot));
+    if (ring && !ring_lock.owns_lock()) ring_lock.lock();
     engine_->submit_read(std::move(run));
     if (obs_.prefetch_issued != nullptr) obs_.prefetch_issued->add(1);
     fs.stats.prefetch_issued += 1;
     cover_end += chunk_bytes;
   }
-  engine_->flush();
+  if (ring_lock.owns_lock()) engine_->flush();
   if (obs_.inflight_depth != nullptr) obs_.inflight_depth->record(engine_->inflight());
 }
 

@@ -18,12 +18,24 @@
 // serving (the caller has already barriered the file's queued chunks, so
 // a fresh backend read observes them).
 //
-// Concurrency: one mutex serializes the whole prefetcher (restores are
-// single-stream scans; writers never enter). The engine is driven only
-// under that mutex, so its inline completion callback runs lock-free
-// within an already-locked serve and must not re-lock.
+// Concurrency: every file has its own state and lock, so ranks restoring
+// different files never wait on each other. A file's lock covers its whole
+// read, including the blocking backend preads (the uncovered tail, and the
+// window reads a sync engine performs inline from submit_read); no other
+// lock is held across a backend read. The map lock `mu_` covers only the
+// file map and the finalized ledger ring. Lock order: a file's lock, then
+// `mu_` (evict finalizes the ledger row under both).
+//
+// Completions find their slot through the read token, which is the Slot
+// pointer itself. A ring engine's shared submission/completion state is
+// driven under `engine_mu_`, held only across submit, flush and reap; a
+// reader waiting on an in-flight slot reaps under it until that slot is
+// done, and completions for other files land on their own slots. Files a
+// ring engine serves inline (no raw fd), and every file under the sync
+// engine, never take `engine_mu_`.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -126,27 +138,41 @@ class Readahead {
   /// One pool-backed cache slot: a chunk being (or already) filled from
   /// the backend.
   struct Slot {
+    enum class State { kInflight, kReady, kError };
+
     std::unique_ptr<Chunk> chunk;
     FileState* owner = nullptr;
     std::uint64_t offset = 0;  ///< file offset of the first byte
     std::size_t want = 0;      ///< bytes requested
     std::size_t valid = 0;     ///< bytes filled; < want means EOF inside
-    enum class State { kInflight, kReady, kError } state = State::kInflight;
-    int err = 0;
+    /// Set last by the completion (release); `valid` is read only after an
+    /// acquire load sees it leave kInflight.
+    std::atomic<State> state{State::kInflight};
     bool consumed = false;  ///< any byte served to the application
   };
 
   struct FileState {
+    std::mutex mu;     ///< serializes this file's reads and its cache
+    bool live = true;  ///< false once evicted; a racing reader looks up again
     std::uint64_t expected_next = 0;  ///< sequential-scan predictor
     std::uint64_t streak = 0;         ///< consecutive sequential reads
     std::uint64_t gen_seen = 0;       ///< FileEntry::write_gen of the cache
-    std::uint64_t eof_at = ~std::uint64_t{0};  ///< lowest offset at/after EOF
-    std::size_t inflight = 0;         ///< slots in State::kInflight
+    /// Lowest offset at/after EOF; lowered (atomic min) by completions
+    /// that may run on another reader's thread.
+    std::atomic<std::uint64_t> eof_at{~std::uint64_t{0}};
     std::deque<std::unique_ptr<Slot>> slots;  ///< sorted, contiguous coverage
     RestoreLedgerEntry stats;
     bool touched = false;
   };
 
+  /// The live state for `entry`, created on first use.
+  std::shared_ptr<FileState> state_for(const FileEntry* entry);
+  /// True when window reads of `file` go through the engine's shared ring
+  /// (and so need `engine_mu_`); false when submit_read completes them
+  /// inline.
+  bool via_ring(BackendFile file) const;
+  /// Blocks until `s` leaves kInflight.
+  void wait_slot(Slot& s);
   void drop_cache_locked(FileState& fs);
   void retire_front_locked(FileState& fs);
   void top_up_locked(const FileEntry* entry, FileState& fs, std::uint64_t next,
@@ -158,11 +184,12 @@ class Readahead {
   ReadObs obs_;
   const std::size_t ledger_capacity_;
 
-  mutable std::mutex mu_;
-  std::unique_ptr<IoEngine> engine_;  ///< driven only under mu_
-  std::unordered_map<const FileEntry*, FileState> files_;
-  std::unordered_map<std::uint64_t, Slot*> inflight_tokens_;
-  std::uint64_t next_token_ = 1;
+  std::unique_ptr<IoEngine> engine_;
+  bool ring_ = false;      ///< engine keeps shared ring state (uring)
+  std::mutex engine_mu_;   ///< ring submit/flush/reap only (leaf lock)
+
+  mutable std::mutex mu_;  ///< files_ and ledger_ only
+  std::unordered_map<const FileEntry*, std::shared_ptr<FileState>> files_;
   std::deque<RestoreLedgerEntry> ledger_;  ///< bounded ring, oldest first
 };
 

@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -94,19 +95,31 @@ class SloExtractor {
 /// `crfs.slo.breaches` counter; EventBuffer (optional) gets an
 /// edge-triggered critical "slo_breach" per objective, re-armed by an
 /// info "slo_recovered" when the short window clears.
+///
+/// Thread-safe: one thread drives tick()/observe() while others read
+/// to_json() and the accessors. Edge events are pushed after the lock is
+/// released, since an event listener may render a document that calls
+/// to_json() again.
 class SloMonitor {
  public:
   SloMonitor(SloConfig cfg, Registry* registry, EventBuffer* events);
 
-  /// Live drive point (Sampler tick observer): extract + observe.
+  /// Live drive point (Sampler tick observer): extract + observe. The
+  /// extractor is single-driver, like the tick path that owns it.
   void tick(const Sample& s) { observe(extractor_.extract(s)); }
 
   /// Replay drive point (simulator determinism tests, `crfsctl slo`).
   void observe(const SloInput& in);
 
   const SloConfig& config() const { return cfg_; }
-  std::uint64_t ticks() const { return ticks_; }
-  std::uint64_t breaches() const { return breaches_total_; }
+  std::uint64_t ticks() const {
+    std::lock_guard lock(mu_);
+    return ticks_;
+  }
+  std::uint64_t breaches() const {
+    std::lock_guard lock(mu_);
+    return breaches_total_;
+  }
   /// True while any objective is in the breached state.
   bool breached() const;
 
@@ -131,13 +144,16 @@ class SloMonitor {
     Gauge* g_breached = nullptr;
   };
 
-  void observe_one(Objective& o, std::uint64_t ts_ns, double value,
-                   std::uint64_t n);
+  /// Updates `o` with one observation; appends any breach/recovery edge
+  /// to `edges` for observe() to push once the lock is released.
+  void observe_one(Objective& o, std::uint64_t ts_ns, double value, std::vector<Event>& edges);
+  bool breached_locked() const;
 
   const SloConfig cfg_;
   EventBuffer* events_;
   Counter* c_breaches_ = nullptr;
   SloExtractor extractor_;
+  mutable std::mutex mu_;  ///< objectives and totals below
   Objective lag_, stall_, ttfb_;
   std::uint64_t ticks_ = 0;
   std::uint64_t breaches_total_ = 0;

@@ -600,6 +600,9 @@ std::vector<obs::EpochRecord> CrfsSimNode::epochs() const {
 Task CrfsSimNode::sample_loop(obs::Sampler& sampler, double interval_s) {
   while (!stopping_) {
     co_await sim_.delay(interval_s);
+    // stop() may have run during the delay; its final flush and fsync
+    // closed the journal's history, so no sample may follow it.
+    if (stopping_) break;
     const obs::Sample s = sampler.tick(static_cast<std::uint64_t>(sim_.now() * 1e9));
     telemetry_.observe(s);
     // Flush on virtual time: frame bytes (and rotation points) depend only

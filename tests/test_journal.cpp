@@ -338,6 +338,27 @@ TEST(JournalSim, ReplaysAreByteIdenticalIncludingBurnRates) {
   EXPECT_EQ(a.journal_bytes, b.journal_bytes);
 }
 
+// stop() closes the journal's history with its final flush and fsync, so
+// the epoch record it finalizes is the last record: the sampler must not
+// wake one more period later and append a sample frame behind it.
+TEST(JournalSim, NoSampleFrameFollowsStop) {
+  const std::string dir = fresh_dir("sim_stop_sample");
+  const SimReplay replay = run_throttled_replay(dir);
+  ASSERT_GT(replay.records, 0u);
+  const auto r = obs::JournalReader::read_dir(dir);
+  ASSERT_TRUE(r.ok) << r.error;
+  std::size_t last_epoch = r.records.size();
+  for (std::size_t i = 0; i < r.records.size(); ++i) {
+    if (r.records[i].type == obs::FrameType::kEpoch) last_epoch = i;
+  }
+  ASSERT_LT(last_epoch, r.records.size()) << "stop() journaled no epoch record";
+  for (std::size_t i = last_epoch + 1; i < r.records.size(); ++i) {
+    EXPECT_NE(r.records[i].type, obs::FrameType::kSample)
+        << "sample frame " << i << " journaled after stop()";
+  }
+  EXPECT_NE(r.records.back().type, obs::FrameType::kSample);
+}
+
 // Unmount parity: ~Crfs journals every slow exemplar still owed, and so
 // must the DES node's stop(). With no sample loop there is no tick to
 // journal the exemplars, so every kSlow frame comes from stop().

@@ -1,14 +1,18 @@
 // Read-path tests: pread conformance across every backend (short reads,
 // chunk-boundary straddling, EOF), the sequential-scan prefetcher (arming,
 // seek eviction, runtime toggle), coherence against buffered and racing
-// writes, and bit-identical blcr restart with readahead on / off / retuned
-// mid-stream.
+// writes, bit-identical blcr restart with readahead on / off / retuned
+// mid-stream, and concurrent restores of different files that neither
+// serialize on each other nor lose a byte or a counter.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -492,6 +496,297 @@ TEST_F(ReadPath, RestoreBitIdenticalAcrossBackendsAndModes) {
       ASSERT_TRUE(restored.ok()) << restored.error().to_string();
       EXPECT_EQ(restored.value().payload_crc, crc);
       EXPECT_EQ(stage, 3) << "mid-stream retune points never reached";
+    }
+  }
+}
+
+// Forwards every call to `inner`, raw fds included, so a uring engine still
+// drives its ring for files of an fd backend; subclasses hook pread.
+class ForwardingBackend : public BackendFs {
+ public:
+  static constexpr auto kTimeout = std::chrono::seconds(5);
+
+  explicit ForwardingBackend(std::shared_ptr<BackendFs> inner) : inner_(std::move(inner)) {}
+
+  Result<std::size_t> pread(BackendFile f, std::span<std::byte> d, std::uint64_t off) override {
+    return inner_->pread(f, d, off);
+  }
+  Result<BackendFile> open_file(const std::string& path, OpenFlags flags) override {
+    return inner_->open_file(path, flags);
+  }
+  Status close_file(BackendFile f) override { return inner_->close_file(f); }
+  Status pwrite(BackendFile f, std::span<const std::byte> d, std::uint64_t off) override {
+    return inner_->pwrite(f, d, off);
+  }
+  Status fsync(BackendFile f) override { return inner_->fsync(f); }
+  Status truncate(BackendFile f, std::uint64_t s) override { return inner_->truncate(f, s); }
+  Result<BackendStat> stat(const std::string& p) override { return inner_->stat(p); }
+  Status mkdir(const std::string& p) override { return inner_->mkdir(p); }
+  Status rmdir(const std::string& p) override { return inner_->rmdir(p); }
+  Status unlink(const std::string& p) override { return inner_->unlink(p); }
+  Status rename(const std::string& a, const std::string& b) override {
+    return inner_->rename(a, b);
+  }
+  Result<std::vector<std::string>> list_dir(const std::string& p) override {
+    return inner_->list_dir(p);
+  }
+  int raw_fd(BackendFile f) const override { return inner_->raw_fd(f); }
+  std::string name() const override { return "forward(" + inner_->name() + ")"; }
+
+ protected:
+  std::shared_ptr<BackendFs> inner_;
+};
+
+// Once armed, the next pread of `gated_path` at or past `min_offset` parks
+// inside the call until release(), or until a timeout, which it records: a
+// reader that cannot get past another file's blocked backend read then
+// fails the test instead of hanging it.
+class GateBackend final : public ForwardingBackend {
+ public:
+  GateBackend(std::shared_ptr<BackendFs> inner, std::string gated_path)
+      : ForwardingBackend(std::move(inner)), gated_path_(std::move(gated_path)) {}
+
+  void arm(std::uint64_t min_offset) {
+    std::lock_guard lock(mu_);
+    armed_ = true;
+    entered_ = false;
+    released_ = false;
+    min_offset_ = min_offset;
+  }
+  bool wait_entered() {
+    std::unique_lock lock(mu_);
+    return cv_.wait_for(lock, kTimeout, [&] { return entered_; });
+  }
+  void release() {
+    std::lock_guard lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+  bool timed_out() const {
+    std::lock_guard lock(mu_);
+    return timed_out_;
+  }
+
+  Result<std::size_t> pread(BackendFile f, std::span<std::byte> d, std::uint64_t off) override {
+    {
+      std::unique_lock lock(mu_);
+      if (armed_ && f == gated_file_ && off >= min_offset_) {
+        armed_ = false;
+        entered_ = true;
+        cv_.notify_all();
+        if (!cv_.wait_for(lock, kTimeout, [&] { return released_; })) timed_out_ = true;
+      }
+    }
+    return inner_->pread(f, d, off);
+  }
+  Result<BackendFile> open_file(const std::string& path, OpenFlags flags) override {
+    auto f = inner_->open_file(path, flags);
+    if (f.ok() && path == gated_path_) {
+      std::lock_guard lock(mu_);
+      gated_file_ = f.value();
+    }
+    return f;
+  }
+
+ private:
+  const std::string gated_path_;
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  BackendFile gated_file_ = ~BackendFile{0};
+  std::uint64_t min_offset_ = 0;
+  bool armed_ = false;
+  bool entered_ = false;
+  bool released_ = false;
+  bool timed_out_ = false;
+};
+
+// The first `parties` preads each wait until all of them are inside the
+// backend at once. Readers serialized behind one another's backend reads
+// never all arrive: the first one times out, which is recorded, and the
+// rendezvous is given up so the run still finishes.
+class RendezvousBackend final : public ForwardingBackend {
+ public:
+  RendezvousBackend(std::shared_ptr<BackendFs> inner, unsigned parties)
+      : ForwardingBackend(std::move(inner)), parties_(parties) {}
+
+  bool timed_out() const {
+    std::lock_guard lock(mu_);
+    return timed_out_;
+  }
+
+  Result<std::size_t> pread(BackendFile f, std::span<std::byte> d, std::uint64_t off) override {
+    {
+      std::unique_lock lock(mu_);
+      if (arrived_ < parties_) {
+        ++arrived_;
+        cv_.notify_all();
+        if (!cv_.wait_for(lock, kTimeout, [&] { return arrived_ == parties_; })) {
+          timed_out_ = true;
+          arrived_ = parties_;
+        }
+      }
+    }
+    return inner_->pread(f, d, off);
+  }
+
+ private:
+  const unsigned parties_;
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  unsigned arrived_ = 0;
+  bool timed_out_ = false;
+};
+
+// Two ranks restoring different files must not wait on each other's
+// backend reads. File A's backend pread is held until a read of file B,
+// issued from another thread, has returned: first A's blocking tail read,
+// then a window read A's established scan issues. Under either engine.
+TEST_F(ReadPath, ConcurrentScansDoNotSerialize) {
+  for (const IoEngineKind engine : {IoEngineKind::kSync, IoEngineKind::kUring}) {
+    SCOPED_TRACE(io_engine_name(engine));
+    auto gate = std::make_shared<GateBackend>(std::make_shared<MemBackend>(), "a.img");
+    auto fs = Crfs::mount(gate, Config{.chunk_size = kChunk,
+                                       .pool_size = kPool,
+                                       .io_engine = engine,
+                                       .uring_depth = 16});
+    ASSERT_TRUE(fs.ok());
+    const auto a_data = make_pattern(8 * kChunk, /*salt=*/1);
+    const auto b_data = make_pattern(8 * kChunk, /*salt=*/2);
+    write_file(*fs.value(), "a.img", a_data);
+    write_file(*fs.value(), "b.img", b_data);
+    const OpenFlags ro{.create = false, .truncate = false, .write = false};
+    auto ha = fs.value()->open("a.img", ro);
+    auto hb = fs.value()->open("b.img", ro);
+    ASSERT_TRUE(ha.ok() && hb.ok());
+
+    std::vector<std::byte> a_buf(kChunk);
+    std::vector<std::byte> b_buf(kChunk);
+    // Step 0 gates A's tail read of chunk 0; step 1 reads chunk 1, which
+    // arms the scan, and gates the window read of chunk 2 behind it.
+    for (std::uint64_t step = 0; step < 2; ++step) {
+      SCOPED_TRACE(step == 0 ? "tail read" : "window read");
+      const std::uint64_t off = step * kChunk;
+      gate->arm(step == 0 ? 0 : 2 * kChunk);
+      Result<std::size_t> a_got = std::size_t{0};
+      std::thread rank_a([&] { a_got = fs.value()->read(ha.value(), a_buf, off); });
+      const bool entered = gate->wait_entered();
+      auto b_got = fs.value()->read(hb.value(), b_buf, off);
+      gate->release();
+      rank_a.join();
+      ASSERT_TRUE(entered) << "file A never reached the backend";
+      EXPECT_FALSE(gate->timed_out()) << "file B's read waited on file A's backend read";
+      ASSERT_TRUE(a_got.ok() && b_got.ok());
+      ASSERT_EQ(a_got.value(), kChunk);
+      ASSERT_EQ(b_got.value(), kChunk);
+      EXPECT_EQ(0, std::memcmp(a_buf.data(), a_data.data() + off, kChunk));
+      EXPECT_EQ(0, std::memcmp(b_buf.data(), b_data.data() + off, kChunk));
+    }
+    EXPECT_GT(fs.value()->metrics().counter("crfs.read.prefetch_issued").value(), 0u);
+    ASSERT_TRUE(fs.value()->close(ha.value()).ok());
+    ASSERT_TRUE(fs.value()->close(hb.value()).ok());
+  }
+}
+
+// Four ranks restore two files each at once, alternating between their
+// files in reads that straddle chunk boundaries, on a pool of four chunks:
+// fewer free chunks than scans, so some scans run without a window. The
+// ranks' first backend reads must all be in flight together; every byte
+// must match; and the per-restore ledger must account for every read and
+// every prefetched slot. Over a posix backend so a uring engine drives its
+// shared ring.
+TEST_F(ReadPath, ConcurrentRanksRestoreByteExact) {
+  constexpr unsigned kRanks = 4;
+  constexpr unsigned kFilesPerRank = 2;
+  constexpr std::size_t kFileBytes = 6 * kChunk + 1234;  // EOF inside a chunk
+  constexpr std::size_t kReadBytes = 48 * KiB;
+  std::vector<std::vector<std::byte>> images;
+  for (unsigned i = 0; i < kRanks * kFilesPerRank; ++i) {
+    images.push_back(make_pattern(kFileBytes, /*salt=*/100 + i));
+  }
+  auto name = [](unsigned i) { return "rank" + std::to_string(i) + ".img"; };
+
+  for (const IoEngineKind engine : {IoEngineKind::kSync, IoEngineKind::kUring}) {
+    for (const bool readahead : {true, false}) {
+      SCOPED_TRACE(std::string(io_engine_name(engine)) +
+                   (readahead ? " readahead" : " no_readahead"));
+      const auto pdir = dir_ / "ranks";
+      std::filesystem::remove_all(pdir);
+      std::filesystem::create_directories(pdir);
+      auto be = PosixBackend::create(pdir.string());
+      ASSERT_TRUE(be.ok());
+      auto rendezvous = std::make_shared<RendezvousBackend>(
+          std::shared_ptr<BackendFs>(std::move(be.value())), kRanks);
+      auto fs = Crfs::mount(rendezvous,
+                            Config{.chunk_size = kChunk,
+                                   .pool_size = 4 * kChunk,
+                                   .io_engine = engine,
+                                   .uring_depth = 16,
+                                   .readahead = readahead});
+      ASSERT_TRUE(fs.ok());
+      for (unsigned i = 0; i < images.size(); ++i) write_file(*fs.value(), name(i), images[i]);
+
+      std::atomic<unsigned> corrupt{0};
+      std::atomic<unsigned> failed{0};
+      std::vector<std::thread> ranks;
+      for (unsigned r = 0; r < kRanks; ++r) {
+        ranks.emplace_back([&, r] {
+          const OpenFlags ro{.create = false, .truncate = false, .write = false};
+          std::vector<Crfs::FileHandle> handles;
+          std::vector<std::vector<std::byte>> got(kFilesPerRank,
+                                                  std::vector<std::byte>(kFileBytes));
+          std::vector<std::size_t> done(kFilesPerRank, 0);
+          for (unsigned k = 0; k < kFilesPerRank; ++k) {
+            auto h = fs.value()->open(name(r * kFilesPerRank + k), ro);
+            if (!h.ok()) {
+              failed.fetch_add(1);
+              return;
+            }
+            handles.push_back(h.value());
+          }
+          for (bool more = true; more;) {
+            more = false;
+            for (unsigned k = 0; k < kFilesPerRank; ++k) {
+              if (done[k] == kFileBytes) continue;
+              const std::size_t n = std::min(kReadBytes, kFileBytes - done[k]);
+              auto rd = fs.value()->read(handles[k], {got[k].data() + done[k], n}, done[k]);
+              if (!rd.ok() || rd.value() == 0) {
+                failed.fetch_add(1);
+                done[k] = kFileBytes;
+                continue;
+              }
+              done[k] += rd.value();
+              more = true;
+            }
+          }
+          for (unsigned k = 0; k < kFilesPerRank; ++k) {
+            if (got[k] != images[r * kFilesPerRank + k]) corrupt.fetch_add(1);
+            if (!fs.value()->close(handles[k]).ok()) failed.fetch_add(1);
+          }
+        });
+      }
+      for (auto& t : ranks) t.join();
+      EXPECT_FALSE(rendezvous->timed_out()) << "ranks' backend reads ran one at a time";
+      EXPECT_EQ(failed.load(), 0u);
+      EXPECT_EQ(corrupt.load(), 0u) << "a concurrent restore returned wrong bytes";
+
+      const auto ledger = fs.value()->restore_ledger();
+      std::uint64_t ops = 0;
+      std::uint64_t bytes = 0;
+      unsigned rows = 0;
+      for (const auto& row : ledger) {
+        if (row.path.rfind("rank", 0) != 0) continue;
+        SCOPED_TRACE(row.path);
+        ++rows;
+        EXPECT_FALSE(row.active);
+        EXPECT_EQ(row.bytes, kFileBytes);
+        EXPECT_EQ(row.prefetch_issued, row.prefetch_hits + row.prefetch_wasted);
+        if (!readahead) EXPECT_EQ(row.prefetch_issued, 0u);
+        ops += row.ops;
+        bytes += row.bytes;
+      }
+      EXPECT_EQ(rows, images.size());
+      EXPECT_EQ(ops, fs.value()->metrics().counter("crfs.read.ops").value());
+      EXPECT_EQ(bytes, fs.value()->metrics().counter("crfs.read.bytes").value());
     }
   }
 }
