@@ -17,13 +17,8 @@
 // the vectored-write path engaged, and BENCH_WRITEPATH.json in the
 // current directory for artifact upload.
 //
-// A third section compares IO engines (sync pwritev vs raw io_uring) over
-// a real PosixBackend directory at the same stream counts, printing
-// BENCH_WRITEPATH_SYNC_STREAMS<N> / BENCH_WRITEPATH_URING_STREAMS<N>
-// lines plus BENCH_IOENGINE.json recording the *active* engine after
-// runtime detection and the max in-flight ring depth. When io_uring is
-// unavailable (old kernel, seccomp, CRFS_FORCE_SYNC=1) the uring rows
-// silently run the sync fallback — the JSON says so; nothing fails.
+// A third section runs the same stream counts into a real PosixBackend
+// directory, printing BENCH_WRITEPATH_SYNC_STREAMS<N> lines.
 //
 // Env knobs: CRFS_BENCH_BYTES overrides the per-stream volume and
 // CRFS_BENCH_REPS the repetitions (best-of); CRFS_BENCH_BATCH /
@@ -111,34 +106,28 @@ RunResult best_of(int reps, int streams, std::size_t per_stream, const Config& c
   return best;
 }
 
-// ---- IO-engine dimension (sync vs io_uring over a real PosixBackend) ----
+// ---- The same streams over a real PosixBackend ----------------------------
 
-struct EngineRunResult {
-  double mib_s = 0.0;
-  std::string active_engine;       ///< what actually ran after detection
-  std::uint64_t max_inflight = 0;  ///< crfs.io.inflight_depth histogram max
-};
-
-EngineRunResult run_engine(int streams, std::size_t per_stream, const Config& cfg) {
+double run_posix(int streams, std::size_t per_stream, const Config& cfg) {
   // Fresh backing dir per run so each repetition starts cold.
   char tmpl[] = "/tmp/crfs_bench_XXXXXX";
   if (::mkdtemp(tmpl) == nullptr) {
     std::fprintf(stderr, "mkdtemp failed\n");
-    return {};
+    return 0.0;
   }
   const std::string root = tmpl;
-  EngineRunResult r;
+  double mib_s = 0.0;
   {
     auto posix = PosixBackend::create(root);
     if (!posix.ok()) {
       std::fprintf(stderr, "posix backend: %s\n", posix.error().to_string().c_str());
-      return {};
+      return 0.0;
     }
     std::shared_ptr<BackendFs> backend = std::move(posix.value());
     auto fs = Crfs::mount(backend, cfg);
     if (!fs.ok()) {
       std::fprintf(stderr, "mount failed: %s\n", fs.error().to_string().c_str());
-      return {};
+      return 0.0;
     }
     FuseShim shim(*fs.value(), FuseOptions{});
 
@@ -165,31 +154,16 @@ EngineRunResult run_engine(int streams, std::size_t per_stream, const Config& cf
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
-    r.mib_s = static_cast<double>(per_stream) * streams / MiB / seconds;
-    r.active_engine = fs.value()->active_io_engine();
-    const auto snap = fs.value()->metrics().snapshot();
-    for (const auto& [name, hist] : snap.histograms) {
-      if (name == "crfs.io.inflight_depth") r.max_inflight = hist.max;
-    }
+    mib_s = static_cast<double>(per_stream) * streams / MiB / seconds;
   }  // unmount + close backend before removing the directory
   std::error_code ec;
   std::filesystem::remove_all(root, ec);
-  return r;
+  return mib_s;
 }
 
-EngineRunResult best_of_engine(int reps, int streams, std::size_t per_stream,
-                               const Config& cfg) {
-  EngineRunResult best;
-  for (int i = 0; i < reps; ++i) {
-    EngineRunResult r = run_engine(streams, per_stream, cfg);
-    if (r.mib_s > best.mib_s) {
-      const std::uint64_t depth = std::max(best.max_inflight, r.max_inflight);
-      best = std::move(r);
-      best.max_inflight = depth;
-    } else {
-      best.max_inflight = std::max(best.max_inflight, r.max_inflight);
-    }
-  }
+double best_of_posix(int reps, int streams, std::size_t per_stream, const Config& cfg) {
+  double best = 0.0;
+  for (int i = 0; i < reps; ++i) best = std::max(best, run_posix(streams, per_stream, cfg));
   return best;
 }
 
@@ -260,77 +234,34 @@ int main() {
     std::printf("wrote BENCH_WRITEPATH.json\n");
   }
 
-  // ---- IO-engine comparison: sync vs io_uring over PosixBackend ----------
-  // Smaller chunks + modest batch produce many submissions per second, so
-  // the uring rows can actually build ring depth instead of one giant
-  // coalesced writev per batch. Both engines share the exact same shape;
-  // only Config::io_engine differs.
-  Config engine_base{};
-  engine_base.chunk_size = 1 * MiB;
-  engine_base.pool_size = 16 * MiB;
-  engine_base.io_threads = 2;
-  engine_base.io_batch = 4;
-  engine_base.uring_depth = 64;
+  // ---- The same streams over PosixBackend --------------------------------
+  // Smaller chunks + modest batch produce many backend writes per second
+  // instead of one giant coalesced pwritev per batch.
+  Config posix_cfg{};
+  posix_cfg.chunk_size = 1 * MiB;
+  posix_cfg.pool_size = 16 * MiB;
+  posix_cfg.io_threads = 2;
+  posix_cfg.io_batch = 4;
 
   // Disk writes are slower than MemBackend memcpys; trim the volume so the
-  // engine section stays in the same wall-clock ballpark.
-  const std::size_t engine_bytes = std::max<std::size_t>(base_bytes / 4, 8 * MiB);
+  // posix section stays in the same wall-clock ballpark.
+  const std::size_t posix_bytes = std::max<std::size_t>(base_bytes / 4, 8 * MiB);
 
-  std::printf("\n=== IO-engine comparison (FuseShim -> Crfs -> PosixBackend) ===\n");
-  std::printf("base: %s | per-stream volume %zu MiB | best of %d reps\n\n",
-              engine_base.describe().c_str(), engine_bytes / MiB, reps);
+  std::printf("\n=== PosixBackend rows (FuseShim -> Crfs -> PosixBackend) ===\n");
+  std::printf("config: %s | per-stream volume %zu MiB | best of %d reps\n\n",
+              posix_cfg.describe().c_str(), posix_bytes / MiB, reps);
 
-  struct EngineRow {
-    const char* requested;
-    int streams;
-    EngineRunResult r;
-  };
-  std::vector<EngineRow> engine_rows;
-  std::string uring_active = "sync";
-  for (const IoEngineKind kind : {IoEngineKind::kSync, IoEngineKind::kUring}) {
-    Config cfg = engine_base;
-    cfg.io_engine = kind;
-    for (const int streams : stream_counts) {
-      const std::size_t per_stream = streams >= 16 ? engine_bytes / 2 : engine_bytes;
-      const EngineRunResult r = best_of_engine(reps, streams, per_stream, cfg);
-      if (kind == IoEngineKind::kUring) uring_active = r.active_engine;
-      std::printf("engine=%-5s streams=%-2d  %8.1f MiB/s  (active=%s, max ring depth %llu)\n",
-                  io_engine_name(kind), streams, r.mib_s, r.active_engine.c_str(),
-                  static_cast<unsigned long long>(r.max_inflight));
-      engine_rows.push_back({io_engine_name(kind), streams, r});
-    }
-  }
-  if (uring_active != "uring") {
-    std::printf("note: io_uring unavailable here — uring rows ran the sync fallback\n");
+  std::vector<std::pair<int, double>> posix_rows;
+  for (const int streams : stream_counts) {
+    const std::size_t per_stream = streams >= 16 ? posix_bytes / 2 : posix_bytes;
+    const double mib_s = best_of_posix(reps, streams, per_stream, posix_cfg);
+    std::printf("posix streams=%-2d  %8.1f MiB/s\n", streams, mib_s);
+    posix_rows.emplace_back(streams, mib_s);
   }
 
   std::printf("\n");
-  for (const auto& row : engine_rows) {
-    // SYNC/URING name the *requested* engine; BENCH_IOENGINE.json records
-    // what actually ran, so a fallback host still emits comparable keys.
-    std::printf("BENCH_WRITEPATH_%s_STREAMS%d %.1f MiB/s\n",
-                row.requested == std::string("uring") ? "URING" : "SYNC", row.streams,
-                row.r.mib_s);
-  }
-
-  if (std::FILE* f = std::fopen("BENCH_IOENGINE.json", "w")) {
-    std::fprintf(f, "{\n  \"config\": \"%s\",\n  \"io_threads\": %u,\n",
-                 engine_base.describe().c_str(), engine_base.io_threads);
-    std::fprintf(f, "  \"uring_available\": %s,\n",
-                 uring_active == "uring" ? "true" : "false");
-    std::fprintf(f, "  \"engines\": {\n");
-    for (std::size_t i = 0; i < engine_rows.size(); ++i) {
-      const auto& row = engine_rows[i];
-      std::fprintf(f,
-                   "    \"%s_streams%d\": {\"requested\": \"%s\", \"active\": \"%s\", "
-                   "\"mib_per_s\": %.1f, \"max_inflight_depth\": %llu}%s\n",
-                   row.requested, row.streams, row.requested, row.r.active_engine.c_str(),
-                   row.r.mib_s, static_cast<unsigned long long>(row.r.max_inflight),
-                   i + 1 < engine_rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  }\n}\n");
-    std::fclose(f);
-    std::printf("wrote BENCH_IOENGINE.json\n");
+  for (const auto& [streams, mib_s] : posix_rows) {
+    std::printf("BENCH_WRITEPATH_SYNC_STREAMS%d %.1f MiB/s\n", streams, mib_s);
   }
 
   if (total_coalesced == 0) {

@@ -1,8 +1,8 @@
 // Restore-side read pipeline benchmark (docs/PERFORMANCE.md "Read path
 // and restore"): checkpoint N rank images through CRFS, then restart
-// them through a read-throttled backend four ways — {sync, uring} read
-// engine x {readahead on, off} — plus a direct BackendSource baseline,
-// verifying the payload CRC every single time.
+// them through a read-throttled backend with readahead on and off, plus a
+// direct BackendSource baseline, verifying the payload CRC every single
+// time.
 //
 // What it proves, and how:
 //   * Correctness: every restore path must reproduce the checkpoint's
@@ -10,9 +10,7 @@
 //   * Prefetch wins structurally, not just on wall clock: with readahead
 //     on, the sequential restore scan must issue strictly fewer blocking
 //     preads (crfs.read.sync_preads) than with readahead off, and the
-//     prefetch hit count must be nonzero. On a real uring engine the
-//     in-flight depth histogram must exceed 1. Wall-clock MiB/s is
-//     reported but only gates under CRFS_BENCH_STRICT=1 — CI runners
+//     prefetch hit count must be nonzero. Wall-clock MiB/s is reported but only gates under CRFS_BENCH_STRICT=1 — CI runners
 //     are too noisy for timing gates (see bench_multistream.cpp).
 //   * Readahead-off costs (about) nothing: with the knob off the read
 //     path must issue exactly one backend pread per application read and
@@ -27,20 +25,14 @@
 //
 // Output: a TextTable for humans, BENCH_RESTORE_* greppable lines for
 // CI, and BENCH_RESTORE.json next to the binary for artifact upload.
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <span>
 #include <string>
 #include <vector>
 
-#include <filesystem>
-
 #include "backend/mem_backend.h"
-#include "backend/posix_backend.h"
 #include "backend/wrappers.h"
 #include "blcr/checkpoint_writer.h"
 #include "blcr/process_image.h"
@@ -68,8 +60,6 @@ struct ModeStats {
   std::uint64_t prefetch_hits = 0;
   std::uint64_t prefetch_wasted = 0;
   std::uint64_t sync_preads = 0;
-  std::uint64_t inflight_max = 0;  // crfs.read.inflight_depth max
-  std::string engine;              // active read engine after fallback
 };
 
 std::string rank_path(unsigned r) { return "rank" + std::to_string(r) + ".ckpt"; }
@@ -92,7 +82,7 @@ int main() {
   const double throttle_bw = 512.0 * MiB;
   const auto throttle_op = std::chrono::microseconds(50);
 
-  std::printf("=== Restore read pipeline (readahead on/off x sync/uring) ===\n");
+  std::printf("=== Restore read pipeline (readahead on/off) ===\n");
   std::printf("%u ranks x %s images; read-throttled backend %.0f MiB/s + %lld us/op; "
               "best of %d reps\n\n",
               ranks, format_bytes(image_bytes).c_str(), throttle_bw / MiB,
@@ -141,12 +131,11 @@ int main() {
   };
 
   // One CRFS restore pass; fills `out` with the mount's read telemetry.
-  auto restore_mode = [&](std::shared_ptr<BackendFs> backend, IoEngineKind engine,
-                          bool readahead, ModeStats& out) -> bool {
+  auto restore_mode = [&](std::shared_ptr<BackendFs> backend, bool readahead,
+                          ModeStats& out) -> bool {
     out.seconds = -1.0;
     for (int rep = 0; rep < reps; ++rep) {
       Config cfg{};
-      cfg.io_engine = engine;
       cfg.readahead = readahead;
       cfg.readahead_window = 8;
       auto fs = Crfs::mount(backend, cfg);
@@ -172,8 +161,6 @@ int main() {
       out.prefetch_hits = m.counter("crfs.read.prefetch_hits").value();
       out.prefetch_wasted = m.counter("crfs.read.prefetch_wasted").value();
       out.sync_preads = m.counter("crfs.read.sync_preads").value();
-      out.inflight_max = m.histogram("crfs.read.inflight_depth").snapshot().max;
-      out.engine = fs.value()->active_read_engine();
       double ttfb_sum = 0.0;
       std::uint64_t scans = 0;
       for (const auto& row : fs.value()->restore_ledger()) {
@@ -198,77 +185,26 @@ int main() {
     if (direct < 0 || secs < direct) direct = secs;
   }
 
-  std::vector<ModeStats> modes(5);
+  std::vector<ModeStats> modes(2);
   modes[0].name = "sync + readahead";
   modes[0].key = "SYNC_RA";
   modes[1].name = "sync, no readahead";
   modes[1].key = "SYNC_NORA";
-  modes[2].name = "uring + readahead";
-  modes[2].key = "URING_RA";
-  modes[3].name = "uring, no readahead";
-  modes[3].key = "URING_NORA";
-  modes[4].name = "posix + uring readahead";
-  modes[4].key = "POSIX_URING_RA";
-  const IoEngineKind engines[] = {IoEngineKind::kSync, IoEngineKind::kSync,
-                                  IoEngineKind::kUring, IoEngineKind::kUring};
-  const bool readaheads[] = {true, false, true, false, true};
-  for (std::size_t i = 0; i < 4; ++i) {
-    if (!restore_mode(throttled, engines[i], readaheads[i], modes[i])) {
+  const bool readaheads[] = {true, false};
+  for (std::size_t i = 0; i < modes.size(); ++i) {
+    if (!restore_mode(throttled, readaheads[i], modes[i])) {
       std::printf("BENCH_RESTORE_CRC FAIL (%s)\n", modes[i].name.c_str());
       return 1;
     }
   }
 
-  // Fifth mode: the same images on a real PosixBackend, where the read
-  // engine can drive raw io_uring (decorated backends have no raw fd, so
-  // the ring falls back to inline preads above — by design, wrapper
-  // semantics win). This is the mode whose inflight-depth histogram can
-  // legitimately exceed 1.
-  const std::filesystem::path posix_dir =
-      std::filesystem::temp_directory_path() /
-      ("crfs_bench_restore_" + std::to_string(static_cast<long>(::getpid())));
-  std::filesystem::create_directories(posix_dir);
-  {
-    auto posix = PosixBackend::create(posix_dir.string());
-    if (!posix.ok()) {
-      std::printf("posix backend unavailable, skipping POSIX_URING_RA\n");
-    } else {
-      auto posix_backend = std::shared_ptr<BackendFs>(std::move(posix.value()));
-      // Replay the checkpoint files out of the mem backend byte-for-byte.
-      std::vector<std::byte> copy_buf(4 * MiB);
-      for (unsigned r = 0; r < ranks; ++r) {
-        auto src = mem->open_file(rank_path(r),
-                                  {.create = false, .truncate = false, .write = false});
-        auto dst = posix_backend->open_file(
-            rank_path(r), {.create = true, .truncate = true, .write = true});
-        std::uint64_t off = 0;
-        for (;;) {
-          auto n = mem->pread(src.value(), copy_buf, off);
-          if (!n.ok() || n.value() == 0) break;
-          (void)posix_backend->pwrite(
-              dst.value(), std::span<const std::byte>(copy_buf.data(), n.value()), off);
-          off += n.value();
-        }
-        (void)mem->close_file(src.value());
-        (void)posix_backend->close_file(dst.value());
-      }
-      if (!restore_mode(posix_backend, IoEngineKind::kUring, true, modes[4])) {
-        std::printf("BENCH_RESTORE_CRC FAIL (%s)\n", modes[4].name.c_str());
-        return 1;
-      }
-    }
-  }
-  std::error_code ec;
-  std::filesystem::remove_all(posix_dir, ec);
-
   TextTable table({"Restore path", "Time", "MiB/s", "TTFB", "hits/issued",
-                   "sync preads", "inflight max", "vs direct"});
-  char buf[6][40];
+                   "sync preads", "vs direct"});
+  char buf[5][40];
   std::snprintf(buf[0], sizeof(buf[0]), "%.3f s", direct);
   std::snprintf(buf[1], sizeof(buf[1]), "%.1f", total_mib / direct);
-  table.add_row({"direct from backend (no CRFS)", buf[0], buf[1], "-", "-", "-", "-", ""});
+  table.add_row({"direct from backend (no CRFS)", buf[0], buf[1], "-", "-", "-", ""});
   for (const auto& m : modes) {
-    if (m.seconds < 0) continue;  // skipped mode
     std::snprintf(buf[0], sizeof(buf[0]), "%.3f s", m.seconds);
     std::snprintf(buf[1], sizeof(buf[1]), "%.1f", m.mib_s);
     std::snprintf(buf[2], sizeof(buf[2]), "%.2f ms", m.ttfb_ms);
@@ -277,65 +213,39 @@ int main() {
                   static_cast<unsigned long long>(m.prefetch_issued));
     std::snprintf(buf[4], sizeof(buf[4]), "%llu",
                   static_cast<unsigned long long>(m.sync_preads));
-    std::snprintf(buf[5], sizeof(buf[5]), "%llu",
-                  static_cast<unsigned long long>(m.inflight_max));
     char vs[32];
-    // The posix mode runs unthrottled on a different device — its wall
-    // clock is not comparable with the throttled direct baseline.
-    if (m.key == "POSIX_URING_RA") {
-      std::snprintf(vs, sizeof(vs), "n/a");
-    } else {
-      std::snprintf(vs, sizeof(vs), "%+.0f%%", 100.0 * (m.seconds - direct) / direct);
-    }
-    table.add_row({(m.name + " [" + m.engine + "]").c_str(), buf[0], buf[1], buf[2],
-                   buf[3], buf[4], buf[5], vs});
+    std::snprintf(vs, sizeof(vs), "%+.0f%%", 100.0 * (m.seconds - direct) / direct);
+    table.add_row({m.name, buf[0], buf[1], buf[2], buf[3], buf[4], vs});
   }
   std::printf("%s\n", table.render().c_str());
 
   // -- Greppable lines (CI bench-smoke) --------------------------------------
   std::printf("BENCH_RESTORE_DIRECT %.1f MiB/s\n", total_mib / direct);
   for (const auto& m : modes) {
-    if (m.seconds < 0) continue;
     const double hit_rate = m.prefetch_issued > 0
         ? static_cast<double>(m.prefetch_hits) / static_cast<double>(m.prefetch_issued)
         : 0.0;
-    std::printf("BENCH_RESTORE_%s %.1f MiB/s ttfb_ms=%.3f hit_rate=%.2f "
-                "sync_preads=%llu inflight_max=%llu engine=%s\n",
+    std::printf("BENCH_RESTORE_%s %.1f MiB/s ttfb_ms=%.3f hit_rate=%.2f sync_preads=%llu\n",
                 m.key.c_str(), m.mib_s, m.ttfb_ms, hit_rate,
-                static_cast<unsigned long long>(m.sync_preads),
-                static_cast<unsigned long long>(m.inflight_max), m.engine.c_str());
+                static_cast<unsigned long long>(m.sync_preads));
   }
 
   // -- Structural gates ------------------------------------------------------
   const ModeStats& sync_ra = modes[0];
   const ModeStats& sync_off = modes[1];
-  const ModeStats& uring_ra = modes[2];
-  const ModeStats& uring_off = modes[3];
-  const ModeStats& posix_ra = modes[4];
   bool ok = true;
   // Readahead must actually absorb blocking preads on a sequential scan.
   if (sync_ra.prefetch_hits == 0 || sync_ra.sync_preads >= sync_off.sync_preads) ok = false;
-  if (uring_ra.prefetch_hits == 0 || uring_ra.sync_preads >= uring_off.sync_preads) ok = false;
-  // A real ring (posix backend, raw fds, uring actually running) must
-  // keep more than one chunk read in flight.
-  if (posix_ra.seconds > 0 && posix_ra.engine == "uring" && posix_ra.inflight_max <= 1) {
-    ok = false;
-  }
-  if (posix_ra.seconds > 0 && posix_ra.prefetch_hits == 0) ok = false;
   // Readahead off == pure passthrough: one backend pread per app read,
   // zero prefetch traffic (the structural <=overhead proof).
   const bool off_passthrough =
-      sync_off.prefetch_issued == 0 && sync_off.sync_preads == sync_off.ops &&
-      uring_off.prefetch_issued == 0 && uring_off.sync_preads == uring_off.ops;
+      sync_off.prefetch_issued == 0 && sync_off.sync_preads == sync_off.ops;
   if (!off_passthrough) ok = false;
   std::printf("BENCH_RESTORE_STRUCTURAL ra_hits=%llu ra_sync_preads=%llu "
-              "off_sync_preads=%llu ring_inflight_max=%llu ring_engine=%s "
-              "off_passthrough=%s verdict=%s\n",
+              "off_sync_preads=%llu off_passthrough=%s verdict=%s\n",
               static_cast<unsigned long long>(sync_ra.prefetch_hits),
               static_cast<unsigned long long>(sync_ra.sync_preads),
               static_cast<unsigned long long>(sync_off.sync_preads),
-              static_cast<unsigned long long>(posix_ra.inflight_max),
-              posix_ra.seconds > 0 ? posix_ra.engine.c_str() : "skipped",
               off_passthrough ? "yes" : "no", ok ? "PASS" : "FAIL");
 
   // Wall-clock guards: informational by default, hard under STRICT.
@@ -343,8 +253,8 @@ int main() {
   const bool off_guard = off_overhead <= 5.0;
   std::printf("BENCH_RESTORE_OFF_OVERHEAD %+.1f%% (guard <=5%%: %s)\n", off_overhead,
               off_guard ? "PASS" : "SOFT-FAIL");
-  const double best_ra = std::min(sync_ra.seconds, uring_ra.seconds);
-  const double best_off = std::min(sync_off.seconds, uring_off.seconds);
+  const double best_ra = sync_ra.seconds;
+  const double best_off = sync_off.seconds;
   std::printf("BENCH_RESTORE_SPEEDUP %.2fx readahead vs none (wall clock, %s)\n",
               best_off / best_ra, strict ? "gated" : "informational");
   if (strict && (!off_guard || best_ra >= best_off)) ok = false;
@@ -357,29 +267,23 @@ int main() {
                  "  \"direct\": {\"seconds\": %.6f, \"mib_s\": %.1f},\n  \"modes\": [\n",
                  ranks, static_cast<unsigned long long>(image_bytes), throttle_bw / MiB,
                  static_cast<long long>(throttle_op.count()), direct, total_mib / direct);
-    std::vector<std::size_t> printed;
     for (std::size_t i = 0; i < modes.size(); ++i) {
-      if (modes[i].seconds >= 0) printed.push_back(i);
-    }
-    for (std::size_t p = 0; p < printed.size(); ++p) {
-      const std::size_t i = printed[p];
       const auto& m = modes[i];
       std::fprintf(
           f,
-          "    {\"name\": \"%s\", \"engine\": \"%s\", \"readahead\": %s,\n"
+          "    {\"name\": \"%s\", \"readahead\": %s,\n"
           "     \"seconds\": %.6f, \"mib_s\": %.1f, \"ttfb_ms\": %.3f,\n"
           "     \"ops\": %llu, \"bytes\": %llu, \"prefetch_issued\": %llu,\n"
           "     \"prefetch_hits\": %llu, \"prefetch_wasted\": %llu,\n"
-          "     \"sync_preads\": %llu, \"inflight_max\": %llu}%s\n",
-          m.name.c_str(), m.engine.c_str(), readaheads[i] ? "true" : "false", m.seconds,
+          "     \"sync_preads\": %llu}%s\n",
+          m.name.c_str(), readaheads[i] ? "true" : "false", m.seconds,
           m.mib_s, m.ttfb_ms, static_cast<unsigned long long>(m.ops),
           static_cast<unsigned long long>(m.bytes),
           static_cast<unsigned long long>(m.prefetch_issued),
           static_cast<unsigned long long>(m.prefetch_hits),
           static_cast<unsigned long long>(m.prefetch_wasted),
           static_cast<unsigned long long>(m.sync_preads),
-          static_cast<unsigned long long>(m.inflight_max),
-          p + 1 < printed.size() ? "," : "");
+          i + 1 < modes.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n  \"structural_pass\": %s,\n  \"off_overhead_pct\": %.1f\n}\n",
                  ok ? "true" : "false", off_overhead);

@@ -477,10 +477,10 @@ int cmd_prom(int argc, char** argv) {
   // Finalize the auto epoch the workload opened so the crfs_epoch_*
   // series cover it too.
   (void)fs.value()->epoch_end();
-  // Info-style series: the submission engine actually running after
-  // feature detection/fallback, carried as a label (value is always 1).
+  // Info-style series: the IO engine carried as a label (value is always
+  // 1). There is one engine, "sync"; the series keeps the exposition's shape.
   std::string engine_info =
-      "# HELP crfs_io_engine_info Active IO engine after runtime detection\n"
+      "# HELP crfs_io_engine_info IO engine carrying backend writes\n"
       "# TYPE crfs_io_engine_info gauge\n"
       "crfs_io_engine_info{engine=\"" +
       obs::prometheus_label_value(fs.value()->active_io_engine()) + "\"} 1\n";
@@ -1264,10 +1264,8 @@ void render_watch_frame(const obs::Sample& s, std::uint64_t events_total, bool a
   const auto free_chunks = s.gauge("crfs.pool.free_chunks");
   const auto depth = s.gauge("crfs.queue.depth");
   const auto in_flight = s.gauge("crfs.io.in_flight");
-  // Engine-level in-flight runs (ring occupancy for uring, 0 for sync).
-  const auto ring = s.gauge("crfs.io.engine_inflight");
   std::printf("WATCH t=%.1fs io=%.1f MB/s pwrites=%.0f/s errs=%.0f/s "
-              "free_chunks=%lld queue=%lld in_flight=%lld ring=%lld events=%llu",
+              "free_chunks=%lld queue=%lld in_flight=%lld events=%llu",
               static_cast<double>(s.ts_ns) / 1e9,
               bytes != nullptr ? bytes->per_sec / 1e6 : 0.0,
               pwrites != nullptr ? pwrites->per_sec : 0.0,
@@ -1275,7 +1273,6 @@ void render_watch_frame(const obs::Sample& s, std::uint64_t events_total, bool a
               static_cast<long long>(free_chunks.value_or(-1)),
               static_cast<long long>(depth.value_or(-1)),
               static_cast<long long>(in_flight.value_or(-1)),
-              static_cast<long long>(ring.value_or(-1)),
               static_cast<unsigned long long>(events_total));
   if (!ansi) std::printf("\n");
   std::fflush(stdout);

@@ -232,6 +232,17 @@ Result<BackendFile> TieredBackend::open_file(const std::string& path, OpenFlags 
   if (!exists && !(flags.write && flags.create)) {
     return Error{ENOENT, "tiered open: no such file: " + path};
   }
+  if (!exists) {
+    // A created file exists from its creating open, as on any other
+    // backend. Make it on the remote now: a close with nothing staged
+    // drops the in-memory state, and the file must outlive that even if
+    // it is never written. Best effort — during a remote outage the
+    // drain creates it later.
+    lock.unlock();
+    auto rw = remote_->open_file(path, {.create = true, .truncate = false, .write = true});
+    if (rw.ok()) (void)remote_->close_file(rw.value());
+    lock.lock();
+  }
 
   auto fs = file_for(path, lock);
   fs->unlinked = false;

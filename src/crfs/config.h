@@ -15,16 +15,6 @@
 
 namespace crfs {
 
-/// Backend-submission strategy of the IO pool (docs/PERFORMANCE.md
-/// "IO engines"). kUring is a request, not a guarantee: at mount time the
-/// pool probes io_uring and falls back to kSync silently when the kernel
-/// refuses (stats/Prometheus report the engine actually running).
-enum class IoEngineKind { kSync, kUring };
-
-inline const char* io_engine_name(IoEngineKind k) {
-  return k == IoEngineKind::kUring ? "uring" : "sync";
-}
-
 struct Config {
   /// Size of each aggregation chunk. The paper fixes 4 MB after the Fig 5
   /// sweep ("larger chunk size is generally more favorable").
@@ -52,23 +42,15 @@ struct Config {
   /// Max chunks an IO worker drains from the work queue per lock
   /// acquisition (docs/PERFORMANCE.md). Batches are grouped by file
   /// (FIFO order kept within a file) and adjacent chunks coalesce into
-  /// one vectored backend write. 1 disables batching (one pop, one
+  /// one vectored backend write. Overlapping chunks of one file are never
+  /// queued together: a chunk that starts below the file's queued
+  /// high-water mark waits at enqueue for the file's outstanding chunks
+  /// (Crfs::flush_current_locked), so any io_batch or io_threads value
+  /// keeps last-writer-wins. 1 disables batching (one pop, one
   /// pwrite — the pre-batching behaviour). The effective batch is capped
   /// at half the pool's chunk count so a single batch can never park the
   /// whole pool behind one coalesced write. Mount option `io_batch=N`.
   unsigned io_batch = 8;
-
-  /// IO engine the workers submit through (docs/PERFORMANCE.md
-  /// "IO engines"). kSync is the paper's behaviour — one blocking
-  /// pwrite/pwritev per coalesced run. kUring keeps up to `uring_depth`
-  /// runs in flight per worker via raw io_uring, with runtime feature
-  /// detection and silent fallback to sync. Mount option
-  /// `io_engine=sync|uring`.
-  IoEngineKind io_engine = IoEngineKind::kSync;
-
-  /// Submission-queue depth per worker ring when io_engine=uring. Mount
-  /// option `uring_depth=N`.
-  unsigned uring_depth = 64;
 
   /// Large-write copy bypass: an application write of at least chunk_size
   /// bytes landing exactly at the file's append point skips the
@@ -85,16 +67,16 @@ struct Config {
 
   /// Restart-side sequential readahead (docs/PERFORMANCE.md "Read path
   /// and restore"): when a file's reads form a forward scan, keep up to
-  /// `readahead_window` chunk-sized reads in flight through a dedicated
-  /// read engine (same sync/uring choice as io_engine), parking the
+  /// `readahead_window` chunk-sized reads ahead of the reader, each one
+  /// blocking backend pread on the reader's own thread, parking the
   /// results in pool-backed cache slots. Runtime-tunable via the
   /// `readahead` knob. Mount option `readahead` / `no_readahead`.
   bool readahead = true;
 
-  /// Max chunk reads kept in flight ahead of a sequential reader (also
-  /// bounded by the read engine's ring depth and by free pool chunks —
-  /// prefetch never blocks checkpoint writers). Runtime-tunable via the
-  /// `readahead_window` knob. Mount option `readahead_window=N`.
+  /// Max chunk reads kept ahead of a sequential reader (also bounded by
+  /// free pool chunks — prefetch never blocks checkpoint writers).
+  /// Runtime-tunable via the `readahead_window` knob. Mount option
+  /// `readahead_window=N`.
   unsigned readahead_window = 4;
 
   /// Observability (docs/OBSERVABILITY.md). Counters and per-stage latency
@@ -276,9 +258,6 @@ struct Config {
       return Error{EINVAL, "pool_size must hold at least one chunk"};
     }
     if (io_batch == 0) return Error{EINVAL, "io_batch must be > 0"};
-    if (uring_depth == 0 || uring_depth > 4096) {
-      return Error{EINVAL, "uring_depth must be in [1, 4096]"};
-    }
     if (readahead_window == 0 || readahead_window > 1024) {
       return Error{EINVAL, "readahead_window must be in [1, 1024]"};
     }
@@ -361,9 +340,6 @@ struct Config {
            " io_threads=" + std::to_string(io_threads) +
            (pool_shards > 0 ? " pool_shards=" + std::to_string(pool_shards) : "") +
            (io_batch != 1 ? " io_batch=" + std::to_string(io_batch) : "") +
-           (io_engine == IoEngineKind::kUring
-                ? " io_engine=uring(depth=" + std::to_string(uring_depth) + ")"
-                : "") +
            (!large_write_bypass ? " no_bypass" : "") +
            (!readahead ? " no_readahead" : "") +
            (readahead_window != 4 ? " readahead_window=" + std::to_string(readahead_window)

@@ -95,9 +95,6 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
   io_obs.batch_chunks = &reg.histogram("crfs.io.batch_chunks");
   io_obs.coalesced_pwrites = &reg.counter("crfs.io.coalesced_pwrites");
   io_obs.durability_lag_ns = &reg.histogram("crfs.chunk.durability_lag_ns");
-  io_obs.engine.inflight_depth = &reg.histogram("crfs.io.inflight_depth");
-  io_obs.engine.sqe_batch = &reg.histogram("crfs.io.sqe_batch");
-  io_obs.engine.cqe_wait_ns = &reg.histogram("crfs.io.cqe_wait_ns");
   io_obs.slow = &telemetry_.slow();
   io_obs.slow_captured = &reg.counter("crfs.slow.captured");
   // The knob plane is built after the pool (define_knobs below); no job
@@ -136,13 +133,10 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
       static_cast<unsigned>(std::max<std::size_t>(1, cfg_.num_chunks() / 2));
   io_pool_ = std::make_unique<IoThreadPool>(
       cfg_.io_threads, queue_, *pool_, *backend_, io_obs,
-      std::min(cfg_.io_batch, batch_cap),
-      IoEngineOptions{.requested = cfg_.io_engine, .uring_depth = cfg_.uring_depth},
-      pool_->chunk_regions());
+      std::min(cfg_.io_batch, batch_cap));
 
   // Restore-side read pipeline (docs/PERFORMANCE.md "Read path and
-  // restore"): its own engine instance so restore reads never compete with
-  // checkpoint SQEs for ring slots, same engine kind and fallback rules.
+  // restore").
   ReadObs read_obs;
   read_obs.ops = &stats_.reads;
   read_obs.bytes = &stats_.read_bytes;
@@ -151,7 +145,6 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
   read_obs.prefetch_wasted = &reg.counter("crfs.read.prefetch_wasted");
   read_obs.sync_preads = &reg.counter("crfs.read.sync_preads");
   read_obs.pread_ns = &reg.histogram("crfs.read.pread_ns");
-  read_obs.inflight_depth = &reg.histogram("crfs.read.inflight_depth");
   // Slow-read forensics: same store and threshold as the write side, with
   // kind="read". A blocking restore read has no copy/queue chain — the
   // whole duration is device time.
@@ -173,14 +166,11 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
     ex.queue_depth = queue_.depth();
     ex.free_chunks = pool_->free_chunks();
     ex.knob_generation = knobs_ != nullptr ? knobs_->generation() : 0;
-    ex.engine = readahead_ != nullptr ? readahead_->engine_name() : "sync";
     slow.capture(std::move(ex));
     c_slow->add(1);
   };
-  readahead_ = std::make_unique<Readahead>(
-      *backend_, *pool_,
-      IoEngineOptions{.requested = cfg_.io_engine, .uring_depth = cfg_.uring_depth},
-      pool_->chunk_regions(), IoEngineObs{}, std::move(read_obs), cfg_.epoch_ledger);
+  readahead_ = std::make_unique<Readahead>(*backend_, *pool_, std::move(read_obs),
+                                           cfg_.epoch_ledger);
   readahead_on_.store(cfg_.readahead, std::memory_order_relaxed);
   readahead_window_.store(cfg_.readahead_window, std::memory_order_relaxed);
 
@@ -199,9 +189,6 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
   });
   reg.gauge_fn("crfs.io.in_flight", [this] {
     return static_cast<std::int64_t>(io_pool_->in_flight());
-  });
-  reg.gauge_fn("crfs.io.engine_inflight", [this] {
-    return static_cast<std::int64_t>(io_pool_->engine_inflight());
   });
   reg.gauge_fn("crfs.files.open", [this] {
     return static_cast<std::int64_t>(table_.open_count());
@@ -320,21 +307,6 @@ void Crfs::define_knobs() {
         return true;
       });
 
-  // uring_depth: soft in-flight cap per worker ring, re-armed on the next
-  // submit window. Vetoed on the sync engine — there is no ring to re-arm.
-  knobs_->define(
-      KnobDef{"uring_depth", 1.0, 4096.0, "sqes"},
-      static_cast<double>(cfg_.uring_depth),
-      [this](double v, double* achieved, std::string* reason) {
-        const unsigned eff = io_pool_->set_uring_depth(static_cast<unsigned>(v));
-        if (eff == 0) {
-          *reason = "io engine '" + std::string(io_pool_->engine_name()) + "' has no ring";
-          return false;
-        }
-        *achieved = static_cast<double>(eff);
-        return true;
-      });
-
   // sample_ms: background sampler period, picked up on the next wakeup.
   knobs_->define(
       KnobDef{"sample_ms", 1.0, 10000.0, "ms"}, static_cast<double>(cfg_.sample_ms),
@@ -393,8 +365,8 @@ void Crfs::define_knobs() {
         return true;
       });
 
-  // readahead_window: chunk reads kept in flight per sequential restore
-  // scan (the engine's own depth still caps it). Floor 1 gives the
+  // readahead_window: chunk reads kept ahead of each sequential restore
+  // scan (free pool chunks still cap it). Floor 1 gives the
   // controller's shed_readahead rule a halving path that never hits 0.
   knobs_->define(
       KnobDef{"readahead_window", 1.0, 1024.0, "chunks"},
@@ -544,6 +516,18 @@ std::uint64_t Crfs::flush_current_locked(const std::shared_ptr<FileEntry>& entry
     obs::TraceSpan span(trace_, "flush");
     auto chunk = std::move(entry->current);
     span.set_trace_id(chunk->trace_id());
+    // Overwrite ordering, the one rule for every flush (full, partial,
+    // stolen, fsync, close): a chunk that starts below the file's queued
+    // high-water mark may overlap a chunk still queued or being written,
+    // and two IO threads could write the pair in either order. So it
+    // waits here until the file's outstanding chunks are durable. IO
+    // threads never take agg_mu, so they drain those chunks while this
+    // thread holds it. Sequential and sparse-forward streams never start
+    // below the mark and never wait.
+    if (chunk->file_offset() < entry->queued_end) {
+      entry->wait_for_completion(entry->write_chunks.load(std::memory_order_acquire));
+    }
+    entry->queued_end = std::max(entry->queued_end, chunk->append_point());
     entry->write_chunks.fetch_add(1, std::memory_order_acq_rel);
     (partial ? stats_.partial_flushes : stats_.full_flushes).add(1);
     // Capture the epoch under agg_mu (the only lock that guards the
@@ -845,12 +829,8 @@ Status Crfs::close(FileHandle handle) {
 
   if (auto last = table_.release(entry->path())) {
     // Final close: drop the read-side prefetch cache (finalizing the
-    // restore-ledger row) and release both engines' registered-fd slots
-    // before the fd number can be reused by a later open. All of the
-    // file's writes have drained above, so no in-flight SQE references it.
+    // restore-ledger row).
     readahead_->evict(last.get());
-    readahead_->forget_file(last->backend_file());
-    io_pool_->forget_backend_file(last->backend_file());
     const Status close_status = backend_->close_file(last->backend_file());
     if (result.ok() && !close_status.ok()) result = close_status;
   }
@@ -886,7 +866,7 @@ Result<std::vector<std::string>> Crfs::list_dir(const std::string& path) {
 std::string Crfs::stats_report() const {
   const MountStats::Snapshot s = stats_.snapshot();
   std::string out = "CRFS pipeline stats (" + cfg_.describe() +
-                    ", engine=" + io_pool_->engine_name() + ")\n";
+                    ", engine=" + active_io_engine() + ")\n";
   TextTable mount({"Mount counter", "Value"});
   mount.add_row({"app_writes", std::to_string(s.app_writes)});
   mount.add_row({"app_bytes", std::to_string(s.app_bytes)});
@@ -992,9 +972,8 @@ std::string Crfs::shared_sections_json(std::uint64_t now) const {
   out += ",\"bypass_writes\":" + std::to_string(s.bypass_writes);
   out += ",\"reads\":" + std::to_string(s.reads);
   out += ",\"read_bytes\":" + std::to_string(s.read_bytes);
-  out += ",\"io_engine\":\"" + std::string(io_pool_->engine_name()) + "\"";
-  out += ",\"io_engine_requested\":\"" + std::string(io_engine_name(cfg_.io_engine)) + "\"";
-  out += ",\"read_engine\":\"" + std::string(readahead_->engine_name()) + "\"";
+  // The engine keys keep the document's shape; there is one engine.
+  out += ",\"io_engine\":\"sync\",\"io_engine_requested\":\"sync\",\"read_engine\":\"sync\"";
   out += "},\"pipeline\":" + metrics().snapshot().to_json();
   out += ",\"events\":" + obs::events_to_json(telemetry_.events().snapshot());
   out += ",\"slow\":" + slow_json();

@@ -144,13 +144,11 @@ class Crfs {
   std::size_t open_files() const { return table_.open_count(); }
   std::size_t queue_depth() const { return queue_.depth(); }
 
-  /// The IO engine actually running after mount-time feature detection —
-  /// "uring", or "sync" (either requested or fallen back to).
-  const char* active_io_engine() const { return io_pool_->engine_name(); }
-
-  /// The restore-side read engine (a separate ring from the write pool,
-  /// same fallback rules).
-  const char* active_read_engine() const { return readahead_->engine_name(); }
+  /// The write and restore-read paths' IO engine. Always "sync": IO
+  /// threads issue blocking pwrite/pwritev and readahead issues blocking
+  /// preads. Kept for tools that print or export the engine name.
+  const char* active_io_engine() const { return "sync"; }
+  const char* active_read_engine() const { return "sync"; }
 
   /// Per-restore attribution rows (docs/PERFORMANCE.md "Read path and
   /// restore"): finalized scans oldest-first, then live scans
@@ -225,8 +223,7 @@ class Crfs {
   std::string slo_json() const { return telemetry_.slo_json(); }
 
   // -- Control plane (docs/OBSERVABILITY.md "Control plane") ----------------
-  /// Runtime-tunes one knob ("pool_chunks", "io_batch", "uring_depth",
-  /// "sample_ms", "slow_pwrite_ms", "epoch_gap_ms", "slow_capture_ms",
+  /// Runtime-tunes one knob ("pool_chunks", "io_batch", "sample_ms", "slow_pwrite_ms", "epoch_gap_ms", "slow_capture_ms",
   /// "readahead", "readahead_window").
   /// Out-of-bounds
   /// requests are clamped, impossible ones vetoed; every outcome is

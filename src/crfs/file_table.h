@@ -51,6 +51,12 @@ class FileEntry {
   /// copies the shared_ptr into the WriteJob so IO threads never read
   /// this field (they must not take agg_mu).
   std::shared_ptr<obs::EpochState> epoch;
+  /// Queued high-water mark: the largest end offset of any chunk handed
+  /// to the work queue. Every chunk queued or in flight lies below it, so
+  /// a chunk starting at or above it cannot overlap one; a chunk starting
+  /// below it waits for the file's outstanding chunks before it is queued
+  /// (Crfs::flush_current_locked).
+  std::uint64_t queued_end = 0;
 
   /// Bytes the application has written past the backend's initial size;
   /// used to answer getattr for still-buffered files.

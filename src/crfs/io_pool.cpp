@@ -6,27 +6,33 @@
 
 namespace crfs {
 
+namespace {
+
+/// Issues `run` through the backend: pwrite for one chunk, pwritev for a
+/// coalesced run, so decorating backends keep their per-write semantics.
+Status backend_write_run(BackendFs& backend, const IoRun& run) {
+  const BackendFile file = run.jobs.front().file->backend_file();
+  if (run.jobs.size() == 1) {
+    return backend.pwrite(file, run.jobs.front().chunk->payload(), run.offset);
+  }
+  std::vector<BackendIoVec> iov;
+  iov.reserve(run.jobs.size());
+  for (const WriteJob& job : run.jobs) {
+    iov.push_back(BackendIoVec{job.chunk->payload().data(), job.chunk->fill()});
+  }
+  return backend.pwritev(file, iov, run.offset);
+}
+
+}  // namespace
+
 IoThreadPool::IoThreadPool(unsigned threads, WorkQueue& queue, BufferPool& pool,
-                           BackendFs& backend, IoPoolObs observe, unsigned batch,
-                           IoEngineOptions engine, std::vector<ChunkRegion> regions)
+                           BackendFs& backend, IoPoolObs observe, unsigned batch)
     : queue_(queue), pool_(pool), backend_(backend), obs_(std::move(observe)),
       batch_(batch == 0 ? 1 : batch) {
-  // One engine per worker: each uring worker owns its ring outright, so
-  // submission and reaping never take a cross-thread lock. Feature
-  // detection runs once per worker; a fallback on one implies fallback on
-  // all (same kernel), so engine_name() can report engines_[0].
-  auto complete = [this](IoRun run, Status status, std::uint64_t t_start,
-                         std::uint64_t t_done) {
-    complete_run(std::move(run), std::move(status), t_start, t_done);
-  };
   const unsigned n = threads == 0 ? 1 : threads;
-  engines_.reserve(n);
-  for (unsigned i = 0; i < n; ++i) {
-    engines_.push_back(make_io_engine(engine, backend_, regions, obs_.engine, complete));
-  }
   workers_.reserve(n);
   for (unsigned i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -35,60 +41,28 @@ IoThreadPool::~IoThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void IoThreadPool::worker_loop(unsigned idx) {
-  IoEngine& eng = *engines_[idx];
+void IoThreadPool::worker_loop() {
   for (;;) {
-    // Submission window: how many more chunks this worker may take on.
-    // Sync's capacity is effectively unbounded (completions are inline),
-    // so want == batch_ and the loop degenerates to the original
-    // pop/write/repeat. Uring keeps pulling work while the ring has room
-    // and reaps when it does not.
-    const std::size_t inflight = eng.inflight();
-    const std::size_t room =
-        eng.capacity() > inflight ? eng.capacity() - inflight : 0;
-    // batch_ and the engine's capacity are both re-read every iteration,
-    // so a runtime tune (set_batch / set_uring_depth) lands on the next
-    // submission window without waking anyone.
-    const std::size_t want =
-        std::min<std::size_t>(batch_.load(std::memory_order_relaxed), room);
-    if (want == 0) {
-      eng.reap(/*wait=*/true);
-      continue;
-    }
-
-    std::vector<WriteJob> batch;
-    if (inflight == 0) {
-      // Nothing to reap: park in the blocking pop. Shutdown is detected
-      // here — an empty pop_batch means drained, and inflight == 0 means
-      // the engine is drained too, so exiting loses nothing.
-      batch = queue_.pop_batch(want);
-      if (batch.empty()) return;
-    } else {
-      // Completions pending: never block on the queue. Either take more
-      // work or turn the idle moment into a completion wait.
-      batch = queue_.try_pop_batch(want);
-      if (batch.empty()) {
-        eng.reap(/*wait=*/true);
-        continue;
-      }
-    }
+    // batch_ is re-read every iteration, so a runtime set_batch lands on
+    // the next dequeue without waking anyone. An empty pop means the
+    // queue was shut down and drained.
+    std::vector<WriteJob> batch = queue_.pop_batch(batch_.load(std::memory_order_relaxed));
+    if (batch.empty()) return;
 
     // The whole batch counts as in-flight until its last chunk is
     // released: the pool-exhaustion rescue in Crfs::acquire_chunk treats
     // in_flight() > 0 as "chunks are coming back soon", which must cover
-    // chunks parked in a worker's batch or ring, not just the one being
-    // written.
+    // chunks parked in a worker's batch, not just the run being written.
     in_flight_.fetch_add(static_cast<unsigned>(batch.size()),
                          std::memory_order_acq_rel);
     if (obs_.batch_chunks != nullptr) obs_.batch_chunks->record(batch.size());
 
     // Group by file so interleaved streams don't break up each other's
-    // runs — but stable: FIFO order is preserved WITHIN each file, so two
-    // overlapping chunks of one file (an overwrite) are still written in
-    // program order. Sorting by offset instead would silently invert
-    // last-writer-wins for overlaps. A sequential stream enqueues its
-    // chunks in ascending offset order anyway, so the common case still
-    // forms maximal adjacent runs.
+    // runs. The sort is stable, so FIFO order holds within each file; a
+    // sequential stream enqueues its chunks in ascending offset order, so
+    // the common case forms maximal adjacent runs. (Chunks of one file in
+    // flight together never overlap — see the header — so the order runs
+    // are written in does not affect the file's bytes.)
     std::stable_sort(batch.begin(), batch.end(),
                      [](const WriteJob& a, const WriteJob& b) {
                        return a.file.get() < b.file.get();
@@ -107,18 +81,17 @@ void IoThreadPool::worker_loop(unsigned idx) {
         run.total += batch[k].chunk->fill();
         run.jobs.push_back(std::move(batch[k]));
       }
-      eng.submit(std::move(run));
+      const std::uint64_t t_start = obs::now_ns();
+      Status status = backend_write_run(backend_, run);
+      complete_run(std::move(run), std::move(status), t_start, obs::now_ns());
       i = j;
     }
-    eng.flush();
-    eng.reap(/*wait=*/false);
   }
 }
 
 void IoThreadPool::complete_run(IoRun run, Status status, std::uint64_t t_start,
                                 std::uint64_t t_done) {
-  // t_start/t_done bracket the backend IO (stamped by the engine): the
-  // single time source for the pwrite histogram, the trace span,
+  // t_start/t_done bracket the backend IO: the single time source for the pwrite histogram, the trace span,
   // per-chunk durability lag (copy-in -> durable, via Chunk::born_ns),
   // and epoch attribution.
   FileEntry& file = *run.jobs.front().file;
@@ -210,7 +183,6 @@ void IoThreadPool::complete_run(IoRun run, Status status, std::uint64_t t_start,
         ex.queue_depth = queue_.depth();
         ex.free_chunks = pool_.free_chunks();
         ex.knob_generation = obs_.knob_generation ? obs_.knob_generation() : 0;
-        ex.engine = engines_.front()->name();
         obs_.slow->capture(std::move(ex));
         if (obs_.slow_captured != nullptr) obs_.slow_captured->add(1);
       }

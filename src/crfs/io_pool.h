@@ -1,9 +1,14 @@
 // IoThreadPool: the pool of worker IO threads draining the work queue
-// (paper §IV-B). Configuring the thread count throttles the number of
-// outstanding chunk writes hitting the backend at once — unless the
-// async engine is selected, in which case each worker keeps up to
-// uring_depth coalesced runs in flight (docs/PERFORMANCE.md "IO
-// engines").
+// (paper §IV-B). Each worker issues one blocking pwrite/pwritev at a
+// time, so the thread count throttles the number of outstanding chunk
+// writes hitting the backend at once.
+//
+// Overwrite ordering is not the pool's concern: Crfs::flush_current_locked
+// never queues a chunk that could overlap one of the same file still
+// queued or being written (a chunk starting below the file's queued
+// high-water mark waits for the file's outstanding chunks first). So any
+// two chunks of one file that workers hold at once are disjoint, and the
+// order in which different workers write them cannot change the bytes.
 #pragma once
 
 #include <atomic>
@@ -14,7 +19,6 @@
 
 #include "backend/backend_fs.h"
 #include "crfs/buffer_pool.h"
-#include "crfs/io_engine.h"
 #include "crfs/work_queue.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
@@ -49,9 +53,6 @@ struct IoPoolObs {
   /// completion stamp; chunks whose producer never stamped born_ns are
   /// skipped.
   obs::LatencyHistogram* durability_lag_ns = nullptr;
-  /// Engine-level sinks (crfs.io.inflight_depth / sqe_batch /
-  /// cqe_wait_ns); only the uring engine records into them.
-  IoEngineObs engine{};
   /// Tail-latency forensic store (docs/OBSERVABILITY.md "Slow exemplars"):
   /// a chunk whose durability lag or device time crosses the store's
   /// threshold gets its full causal chain captured here. The threshold
@@ -68,21 +69,24 @@ struct IoPoolObs {
   std::function<void()> on_run_complete;
 };
 
+/// One coalesced backend write: same-file, offset-adjacent jobs whose
+/// payloads land back to back starting at `offset`.
+struct IoRun {
+  std::vector<WriteJob> jobs;
+  std::uint64_t offset = 0;  ///< file offset of the first chunk
+  std::uint64_t total = 0;   ///< sum of the chunks' fills
+};
+
 class IoThreadPool {
  public:
-  /// Starts `threads` workers, each owning one IoEngine built from
-  /// `engine` (with runtime fallback to sync — see make_io_engine). Each
-  /// worker loops: pop up to `batch` already-queued chunks, group them by
-  /// file (keeping FIFO order within a file, so overlapping writes stay
-  /// in program order), submit one coalesced run of adjacent chunks per
-  /// engine submission, and reap completions that bump the owning files'
-  /// complete-chunk counts and return the chunks to the pool. With the
-  /// sync engine and `batch == 1` this reproduces the original
-  /// one-chunk-per-pop behaviour exactly. `regions` is the buffer pool's
-  /// chunk storage for fixed-buffer registration (pass {} to skip).
+  /// Starts `threads` workers. Each worker loops: pop up to `batch`
+  /// already-queued chunks, group them by file (keeping FIFO order within
+  /// a file), write each run of adjacent chunks with one blocking
+  /// pwrite/pwritev, then bump the owning files' complete-chunk counts and
+  /// return the chunks to the pool. `batch == 1` reproduces the original
+  /// one-chunk-per-pop behaviour exactly.
   IoThreadPool(unsigned threads, WorkQueue& queue, BufferPool& pool, BackendFs& backend,
-               IoPoolObs observe = {}, unsigned batch = 1, IoEngineOptions engine = {},
-               std::vector<ChunkRegion> regions = {});
+               IoPoolObs observe = {}, unsigned batch = 1);
 
   /// Drains the queue and joins all workers.
   ~IoThreadPool();
@@ -110,23 +114,6 @@ class IoThreadPool {
   /// Jobs currently being written by a worker (popped, not yet finished).
   unsigned in_flight() const { return in_flight_.load(std::memory_order_relaxed); }
 
-  /// The engine actually running after feature detection ("sync"/"uring").
-  const char* engine_name() const { return engines_.front()->name(); }
-
-  /// Runs currently submitted to the kernel across all workers' engines
-  /// (0 for sync, whose submissions complete inline).
-  std::size_t engine_inflight() const {
-    std::size_t n = 0;
-    for (const auto& eng : engines_) n += eng->inflight();
-    return n;
-  }
-
-  /// Invalidates engine-cached state for `file` (registered-fd slots)
-  /// before the backend closes it. Call after the file's writes drained.
-  void forget_backend_file(BackendFile file) {
-    for (const auto& eng : engines_) eng->forget_file(file);
-  }
-
   /// Runtime io_batch re-arm (knob plane): workers pick the new value up
   /// on their next dequeue. The caller pre-clamps to the half-the-pool
   /// cap (Crfs re-derives it whenever the pool or the knob moves).
@@ -135,20 +122,11 @@ class IoThreadPool {
   }
   unsigned batch() const { return batch_.load(std::memory_order_relaxed); }
 
-  /// Runtime ring re-arm: forwards to every worker's engine. Returns the
-  /// effective depth (soft cap clamped to the mount-time ring size), or 0
-  /// when the engine is sync and has no ring.
-  unsigned set_uring_depth(unsigned depth) {
-    unsigned effective = 0;
-    for (const auto& eng : engines_) effective = eng->set_depth(depth);
-    return effective;
-  }
-
  private:
-  void worker_loop(unsigned idx);
-  /// Engine completion callback: accounts one finished run (metrics,
-  /// epoch attribution, sticky error), completes and releases every
-  /// chunk. Runs on the submitting worker's thread.
+  void worker_loop();
+  /// Accounts one finished run (metrics, epoch attribution, sticky
+  /// error), completes and releases every chunk. `t_start`/`t_done`
+  /// bracket the backend write.
   void complete_run(IoRun run, Status status, std::uint64_t t_start, std::uint64_t t_done);
 
   WorkQueue& queue_;
@@ -159,7 +137,6 @@ class IoThreadPool {
   std::atomic<std::uint64_t> chunks_written_{0};
   std::atomic<std::uint64_t> bytes_written_{0};
   std::atomic<unsigned> in_flight_{0};
-  std::vector<std::unique_ptr<IoEngine>> engines_;  ///< one per worker
   std::vector<std::thread> workers_;
 };
 

@@ -38,7 +38,7 @@ struct KnobDef {
   std::string name;
   double min_value = 0.0;
   double max_value = 0.0;
-  std::string unit;  ///< "chunks", "jobs", "sqes", "ms"
+  std::string unit;  ///< "chunks", "jobs", "ms"
 };
 
 /// Immutable, atomically-published view of all knob values.

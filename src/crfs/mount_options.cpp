@@ -74,23 +74,6 @@ Result<MountOptions> parse_mount_options(std::string_view text) {
         return Error{EINVAL, "bad io_batch: '" + std::string(value) + "'"};
       }
       out.config.io_batch = batch;
-    } else if (key == "io_engine") {
-      if (value == "sync") {
-        out.config.io_engine = IoEngineKind::kSync;
-      } else if (value == "uring") {
-        out.config.io_engine = IoEngineKind::kUring;
-      } else {
-        return Error{EINVAL, "bad io_engine (want sync|uring): '" + std::string(value) + "'"};
-      }
-    } else if (key == "uring_depth") {
-      unsigned depth = 0;
-      const auto* begin = value.data();
-      const auto* end = value.data() + value.size();
-      const auto [ptr, ec] = std::from_chars(begin, end, depth);
-      if (ec != std::errc{} || ptr != end || depth == 0) {
-        return Error{EINVAL, "bad uring_depth: '" + std::string(value) + "'"};
-      }
-      out.config.uring_depth = depth;
     } else if (key == "bypass") {
       out.config.large_write_bypass = true;
     } else if (key == "no_bypass") {
@@ -292,10 +275,6 @@ std::string format_mount_options(const MountOptions& options) {
   }
   if (options.config.io_batch != Config{}.io_batch) {
     s += ",io_batch=" + std::to_string(options.config.io_batch);
-  }
-  if (options.config.io_engine == IoEngineKind::kUring) s += ",io_engine=uring";
-  if (options.config.uring_depth != Config{}.uring_depth) {
-    s += ",uring_depth=" + std::to_string(options.config.uring_depth);
   }
   if (!options.config.large_write_bypass) s += ",no_bypass";
   if (!options.config.readahead) s += ",no_readahead";

@@ -23,12 +23,6 @@ struct MountOptions {
 ///   threads=<n>         IO thread count                 (default 4)
 ///   pool_shards=<n>     buffer-pool shard count, 0=auto (default 0)
 ///   io_batch=<n>        chunks per IO dequeue, 1=off    (default 8)
-///   io_engine=<e>       backend submission engine: sync (blocking
-///                       pwrite/pwritev) or uring (raw io_uring with
-///                       runtime detection, silent fallback to sync)
-///                                                       (default sync)
-///   uring_depth=<n>     per-worker ring depth, io_engine=uring only
-///                                                       (default 64)
 ///   bypass              large-write copy bypass         (default on)
 ///   no_bypass           always aggregate through the buffer pool
 ///   big_writes          128 KB FUSE requests            (default on)

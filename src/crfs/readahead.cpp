@@ -7,48 +7,12 @@
 
 namespace crfs {
 
-namespace {
-
-void lower_to(std::atomic<std::uint64_t>& v, std::uint64_t x) {
-  std::uint64_t cur = v.load(std::memory_order_relaxed);
-  while (x < cur && !v.compare_exchange_weak(cur, x, std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
-
-Readahead::Readahead(BackendFs& backend, BufferPool& pool, const IoEngineOptions& engine_opts,
-                     std::vector<ChunkRegion> regions, IoEngineObs engine_obs, ReadObs obs,
+Readahead::Readahead(BackendFs& backend, BufferPool& pool, ReadObs obs,
                      std::size_t ledger_capacity)
     : backend_(backend),
       pool_(pool),
       obs_(std::move(obs)),
-      ledger_capacity_(ledger_capacity == 0 ? 1 : ledger_capacity) {
-  // The write CompleteFn never fires — this engine only carries reads.
-  engine_ = make_io_engine(engine_opts, backend_, std::move(regions), engine_obs,
-                           [](IoRun, Status, std::uint64_t, std::uint64_t) {});
-  ring_ = std::strcmp(engine_->name(), "sync") != 0;
-  // Runs inline from submit_read (under the reading file's lock) or from a
-  // reap under engine_mu_ on whichever reader is waiting: touch only the
-  // slot and its owner's EOF mark. The release store of `state` is the
-  // last touch, since the owner may retire the slot right after it.
-  engine_->set_read_complete([](ReadRun run, Result<std::size_t> nread, std::uint64_t,
-                                std::uint64_t) {
-    auto* slot = reinterpret_cast<Slot*>(static_cast<std::uintptr_t>(run.token));
-    if (!nread.ok()) {
-      // The serve retries the range with a blocking pread, which reports
-      // the error if it persists.
-      slot->state.store(Slot::State::kError, std::memory_order_release);
-      return;
-    }
-    slot->valid = nread.value();
-    slot->chunk->set_fill(slot->valid);
-    // Short read = EOF inside the slot: stop the window from issuing
-    // further reads past the end of the file.
-    if (slot->valid < slot->want) lower_to(slot->owner->eof_at, slot->offset + slot->valid);
-    slot->state.store(Slot::State::kReady, std::memory_order_release);
-  });
-}
+      ledger_capacity_(ledger_capacity == 0 ? 1 : ledger_capacity) {}
 
 Readahead::~Readahead() {
   std::vector<const FileEntry*> entries;
@@ -57,7 +21,6 @@ Readahead::~Readahead() {
     for (const auto& [entry, fs] : files_) entries.push_back(entry);
   }
   for (const FileEntry* entry : entries) evict(entry);
-  engine_.reset();
 }
 
 std::shared_ptr<Readahead::FileState> Readahead::state_for(const FileEntry* entry) {
@@ -65,22 +28,6 @@ std::shared_ptr<Readahead::FileState> Readahead::state_for(const FileEntry* entr
   std::shared_ptr<FileState>& fs = files_[entry];
   if (fs == nullptr) fs = std::make_shared<FileState>();
   return fs;
-}
-
-bool Readahead::via_ring(BackendFile file) const {
-  // A ring engine completes reads of fd-less files (MemBackend, decorating
-  // wrappers) inline through the backend without touching the ring.
-  return ring_ && backend_.raw_fd(file) >= 0;
-}
-
-void Readahead::wait_slot(Slot& s) {
-  while (s.state.load(std::memory_order_acquire) == Slot::State::kInflight) {
-    std::lock_guard lock(engine_mu_);
-    // Another reader's reap may have completed it while this one queued.
-    if (s.state.load(std::memory_order_acquire) == Slot::State::kInflight) {
-      engine_->reap(/*wait=*/true);
-    }
-  }
 }
 
 Result<std::size_t> Readahead::read(const std::shared_ptr<FileEntry>& entry,
@@ -109,7 +56,7 @@ Result<std::size_t> Readahead::read(const std::shared_ptr<FileEntry>& entry,
   if (gen != fs.gen_seen) {
     drop_cache_locked(fs);
     fs.gen_seen = gen;
-    fs.eof_at.store(~std::uint64_t{0}, std::memory_order_relaxed);
+    fs.eof_at = ~std::uint64_t{0};
   }
 
   // Sequential-scan detection: a seek drops the window, a match extends
@@ -132,8 +79,7 @@ Result<std::size_t> Readahead::read(const std::shared_ptr<FileEntry>& entry,
       retire_front_locked(fs);
       continue;
     }
-    wait_slot(*s);
-    if (s->state.load(std::memory_order_acquire) == Slot::State::kError) {
+    if (s->failed) {
       // Drop the failed slot and retry the range synchronously below; the
       // retry reports any persistent error.
       retire_front_locked(fs);
@@ -165,7 +111,9 @@ Result<std::size_t> Readahead::read(const std::shared_ptr<FileEntry>& entry,
     if (obs_.sync_preads != nullptr) obs_.sync_preads->add(1);
     fs.stats.sync_preads += 1;
     if (r.ok()) {
-      if (r.value() < out.size() - served) lower_to(fs.eof_at, offset + served + r.value());
+      if (r.value() < out.size() - served) {
+        fs.eof_at = std::min(fs.eof_at, offset + served + r.value());
+      }
       served += r.value();
     } else {
       tail_error = r.error();
@@ -210,8 +158,6 @@ void Readahead::evict(const FileEntry* entry) {
   if (it != files_.end() && it->second == fs) files_.erase(it);
 }
 
-void Readahead::forget_file(BackendFile file) { engine_->forget_file(file); }
-
 std::vector<RestoreLedgerEntry> Readahead::ledger_snapshot() const {
   std::vector<RestoreLedgerEntry> out;
   std::vector<std::shared_ptr<FileState>> scans;
@@ -244,9 +190,6 @@ void Readahead::drop_cache_locked(FileState& fs) {
 
 void Readahead::retire_front_locked(FileState& fs) {
   Slot* s = fs.slots.front().get();
-  // A chunk with a kernel read in flight cannot go back to the pool (the
-  // engine only carries reads, so the completion is always forthcoming).
-  wait_slot(*s);
   if (!s->consumed) {
     if (obs_.prefetch_wasted != nullptr) obs_.prefetch_wasted->add(1);
     fs.stats.prefetch_wasted += 1;
@@ -258,44 +201,38 @@ void Readahead::retire_front_locked(FileState& fs) {
 void Readahead::top_up_locked(const FileEntry* entry, FileState& fs, std::uint64_t next,
                               unsigned window) {
   const std::size_t chunk_bytes = pool_.chunk_size();
-  const std::size_t cap = std::min<std::size_t>(window, engine_->capacity());
-  // The ring lock is taken at the first submission and held through the
-  // flush; inline (sync) reads run under the file lock alone.
-  std::unique_lock ring_lock(engine_mu_, std::defer_lock);
-  const bool ring = via_ring(entry->backend_file());
   // The window is contiguous: new reads start where coverage ends.
   std::uint64_t cover_end = next;
   if (!fs.slots.empty()) {
     cover_end = std::max(cover_end, fs.slots.back()->offset + fs.slots.back()->want);
   }
-  while (fs.slots.size() < cap && cover_end < fs.eof_at.load(std::memory_order_relaxed)) {
+  while (fs.slots.size() < window && cover_end < fs.eof_at) {
     // Opportunistic only: never starve checkpoint writers of chunks.
     auto chunk = pool_.try_acquire(cover_end);
     if (chunk == nullptr) break;
     chunk->reset(cover_end);
     auto slot = std::make_unique<Slot>();
     slot->chunk = std::move(chunk);
-    slot->owner = &fs;
     slot->offset = cover_end;
     slot->want = std::min<std::size_t>(chunk_bytes, slot->chunk->capacity());
-
-    ReadRun run;
-    run.file = entry->backend_file();
-    run.offset = cover_end;
-    run.segs.push_back(ReadSeg{slot->chunk->mutable_storage().data(), slot->want});
-    run.total = slot->want;
-    run.token = reinterpret_cast<std::uintptr_t>(slot.get());
-    run.buf_index = slot->chunk->pool_index();
-
+    auto r = backend_.pread(entry->backend_file(),
+                            slot->chunk->mutable_storage().first(slot->want), cover_end);
+    if (r.ok()) {
+      slot->valid = r.value();
+      slot->chunk->set_fill(slot->valid);
+      // Short read = EOF inside the slot: stop the window from issuing
+      // further reads past the end of the file.
+      if (slot->valid < slot->want) fs.eof_at = std::min(fs.eof_at, cover_end + slot->valid);
+    } else {
+      // The serve retries the range with a blocking pread, which reports
+      // the error if it persists.
+      slot->failed = true;
+    }
     fs.slots.push_back(std::move(slot));
-    if (ring && !ring_lock.owns_lock()) ring_lock.lock();
-    engine_->submit_read(std::move(run));
     if (obs_.prefetch_issued != nullptr) obs_.prefetch_issued->add(1);
     fs.stats.prefetch_issued += 1;
     cover_end += chunk_bytes;
   }
-  if (ring_lock.owns_lock()) engine_->flush();
-  if (obs_.inflight_depth != nullptr) obs_.inflight_depth->record(engine_->inflight());
 }
 
 void Readahead::finalize_locked(FileState& fs) {

@@ -57,8 +57,7 @@ class WorkQueue {
   std::vector<WriteJob> pop_batch(std::size_t max);
 
   /// Non-blocking pop_batch: returns immediately (possibly empty) instead
-  /// of waiting for the first job. Used by async IO engines that have
-  /// completions to reap while the queue is momentarily dry.
+  /// of waiting for the first job, for consumers that must not park.
   std::vector<WriteJob> try_pop_batch(std::size_t max);
 
   /// Lets pop() return nullopt once the queue is empty. Already-queued

@@ -100,12 +100,10 @@ TEST(CrfsctlCli, PromEmitsValidExposition) {
   EXPECT_NE(res.output.find("crfs_io_pwrite_bytes_total 67108864"), std::string::npos)
       << res.output;
   EXPECT_NE(res.output.find("# TYPE crfs_io_pwrite_ns histogram"), std::string::npos);
-  // Info-style engine series: active engine as a label, value 1.
+  // Info-style engine series: the (one) engine as a label, value 1.
   EXPECT_NE(res.output.find("# TYPE crfs_io_engine_info gauge"), std::string::npos);
-  const bool engine_info =
-      res.output.find("crfs_io_engine_info{engine=\"sync\"} 1") != std::string::npos ||
-      res.output.find("crfs_io_engine_info{engine=\"uring\"} 1") != std::string::npos;
-  EXPECT_TRUE(engine_info) << res.output;
+  EXPECT_NE(res.output.find("crfs_io_engine_info{engine=\"sync\"} 1"), std::string::npos)
+      << res.output;
   // Cumulative bucket series must be monotone and +Inf must equal _count.
   double prev = 0.0, inf = -1.0, count = -1.0;
   std::size_t pos = 0;
@@ -136,7 +134,6 @@ TEST(CrfsctlCli, WatchRendersFramesAndSummary) {
   EXPECT_NE(res.output.find("MB/s"), std::string::npos);
   EXPECT_NE(res.output.find("free_chunks="), std::string::npos);
   EXPECT_NE(res.output.find("queue="), std::string::npos);
-  EXPECT_NE(res.output.find("ring="), std::string::npos);  // engine in-flight depth
   EXPECT_NE(res.output.find("samples="), std::string::npos);
   // Final report follows the live frames.
   EXPECT_NE(res.output.find("app_writes"), std::string::npos);
@@ -370,7 +367,7 @@ TEST(CrfsctlCli, KnobsPrintsTheRuntimeKnobTable) {
   ASSERT_EQ(table.exit_code, 0) << table.output;
   EXPECT_NE(table.output.find("generation=0"), std::string::npos);
   EXPECT_NE(table.output.find("pool_chunks"), std::string::npos);
-  EXPECT_NE(table.output.find("uring_depth"), std::string::npos);
+  EXPECT_NE(table.output.find("io_batch"), std::string::npos);
   EXPECT_NE(table.output.find("journal_fsync_ms"), std::string::npos);
   EXPECT_NE(table.output.find("drain_mbps"), std::string::npos);
 
@@ -381,7 +378,7 @@ TEST(CrfsctlCli, KnobsPrintsTheRuntimeKnobTable) {
   EXPECT_DOUBLE_EQ(parsed->get("generation")->number, 0.0);
   const auto* knobs = parsed->get("knobs");
   ASSERT_TRUE(knobs != nullptr && knobs->is_array());
-  EXPECT_EQ(knobs->array->size(), 12u);
+  EXPECT_EQ(knobs->array->size(), 11u);
   const std::vector<std::string> knob_keys = {"max", "min", "name", "unit", "value"};
   for (const auto& k : *knobs->array) EXPECT_EQ(object_keys(k), knob_keys);
 }

@@ -166,21 +166,6 @@ TEST_F(ReadPath, PreadConformanceAcrossBackends) {
   }
 }
 
-TEST_F(ReadPath, UringEnginePreadConformance) {
-  // kUring is a request: on kernels without io_uring the read engine falls
-  // back to sync and the same assertions must still hold.
-  const auto data = make_pattern(3 * kChunk + 999, /*salt=*/3);
-  auto fs = Crfs::mount(std::make_shared<MemBackend>(),
-                        Config{.chunk_size = kChunk,
-                               .pool_size = kPool,
-                               .io_engine = IoEngineKind::kUring,
-                               .uring_depth = 16});
-  ASSERT_TRUE(fs.ok());
-  write_file(*fs.value(), "uring.dat", data);
-  expect_readable(*fs.value(), "uring.dat", data);
-  EXPECT_STREQ(fs.value()->active_read_engine(), fs.value()->active_io_engine());
-}
-
 TEST_F(ReadPath, NullBackendReadsReportEof) {
   auto fs = Crfs::mount(std::make_shared<NullBackend>(),
                         Config{.chunk_size = kChunk, .pool_size = kPool});
@@ -266,7 +251,9 @@ TEST_F(ReadPath, ReadsRaceInflightWrites) {
       const std::size_t off2 = i * kRecord;
       ASSERT_TRUE(fs.value()->write(wh.value(), {data.data() + off2, kRecord}, off2).ok());
       watermark.store(off2 + kRecord, std::memory_order_release);
-      if (i % 8 == 7) ASSERT_TRUE(fs.value()->fsync(wh.value()).ok());
+      if (i % 8 == 7) {
+        ASSERT_TRUE(fs.value()->fsync(wh.value()).ok());
+      }
     }
   });
 
@@ -500,8 +487,7 @@ TEST_F(ReadPath, RestoreBitIdenticalAcrossBackendsAndModes) {
   }
 }
 
-// Forwards every call to `inner`, raw fds included, so a uring engine still
-// drives its ring for files of an fd backend; subclasses hook pread.
+// Forwards every call to `inner`, raw fds included; subclasses hook pread.
 class ForwardingBackend : public BackendFs {
  public:
   static constexpr auto kTimeout = std::chrono::seconds(5);
@@ -640,51 +626,45 @@ class RendezvousBackend final : public ForwardingBackend {
 // Two ranks restoring different files must not wait on each other's
 // backend reads. File A's backend pread is held until a read of file B,
 // issued from another thread, has returned: first A's blocking tail read,
-// then a window read A's established scan issues. Under either engine.
+// then a window read A's established scan issues.
 TEST_F(ReadPath, ConcurrentScansDoNotSerialize) {
-  for (const IoEngineKind engine : {IoEngineKind::kSync, IoEngineKind::kUring}) {
-    SCOPED_TRACE(io_engine_name(engine));
-    auto gate = std::make_shared<GateBackend>(std::make_shared<MemBackend>(), "a.img");
-    auto fs = Crfs::mount(gate, Config{.chunk_size = kChunk,
-                                       .pool_size = kPool,
-                                       .io_engine = engine,
-                                       .uring_depth = 16});
-    ASSERT_TRUE(fs.ok());
-    const auto a_data = make_pattern(8 * kChunk, /*salt=*/1);
-    const auto b_data = make_pattern(8 * kChunk, /*salt=*/2);
-    write_file(*fs.value(), "a.img", a_data);
-    write_file(*fs.value(), "b.img", b_data);
-    const OpenFlags ro{.create = false, .truncate = false, .write = false};
-    auto ha = fs.value()->open("a.img", ro);
-    auto hb = fs.value()->open("b.img", ro);
-    ASSERT_TRUE(ha.ok() && hb.ok());
+  auto gate = std::make_shared<GateBackend>(std::make_shared<MemBackend>(), "a.img");
+  auto fs = Crfs::mount(gate, Config{.chunk_size = kChunk, .pool_size = kPool});
+  ASSERT_TRUE(fs.ok());
+  const auto a_data = make_pattern(8 * kChunk, /*salt=*/1);
+  const auto b_data = make_pattern(8 * kChunk, /*salt=*/2);
+  write_file(*fs.value(), "a.img", a_data);
+  write_file(*fs.value(), "b.img", b_data);
+  const OpenFlags ro{.create = false, .truncate = false, .write = false};
+  auto ha = fs.value()->open("a.img", ro);
+  auto hb = fs.value()->open("b.img", ro);
+  ASSERT_TRUE(ha.ok() && hb.ok());
 
-    std::vector<std::byte> a_buf(kChunk);
-    std::vector<std::byte> b_buf(kChunk);
-    // Step 0 gates A's tail read of chunk 0; step 1 reads chunk 1, which
-    // arms the scan, and gates the window read of chunk 2 behind it.
-    for (std::uint64_t step = 0; step < 2; ++step) {
-      SCOPED_TRACE(step == 0 ? "tail read" : "window read");
-      const std::uint64_t off = step * kChunk;
-      gate->arm(step == 0 ? 0 : 2 * kChunk);
-      Result<std::size_t> a_got = std::size_t{0};
-      std::thread rank_a([&] { a_got = fs.value()->read(ha.value(), a_buf, off); });
-      const bool entered = gate->wait_entered();
-      auto b_got = fs.value()->read(hb.value(), b_buf, off);
-      gate->release();
-      rank_a.join();
-      ASSERT_TRUE(entered) << "file A never reached the backend";
-      EXPECT_FALSE(gate->timed_out()) << "file B's read waited on file A's backend read";
-      ASSERT_TRUE(a_got.ok() && b_got.ok());
-      ASSERT_EQ(a_got.value(), kChunk);
-      ASSERT_EQ(b_got.value(), kChunk);
-      EXPECT_EQ(0, std::memcmp(a_buf.data(), a_data.data() + off, kChunk));
-      EXPECT_EQ(0, std::memcmp(b_buf.data(), b_data.data() + off, kChunk));
-    }
-    EXPECT_GT(fs.value()->metrics().counter("crfs.read.prefetch_issued").value(), 0u);
-    ASSERT_TRUE(fs.value()->close(ha.value()).ok());
-    ASSERT_TRUE(fs.value()->close(hb.value()).ok());
+  std::vector<std::byte> a_buf(kChunk);
+  std::vector<std::byte> b_buf(kChunk);
+  // Step 0 gates A's tail read of chunk 0; step 1 reads chunk 1, which
+  // arms the scan, and gates the window read of chunk 2 behind it.
+  for (std::uint64_t step = 0; step < 2; ++step) {
+    SCOPED_TRACE(step == 0 ? "tail read" : "window read");
+    const std::uint64_t off = step * kChunk;
+    gate->arm(step == 0 ? 0 : 2 * kChunk);
+    Result<std::size_t> a_got = std::size_t{0};
+    std::thread rank_a([&] { a_got = fs.value()->read(ha.value(), a_buf, off); });
+    const bool entered = gate->wait_entered();
+    auto b_got = fs.value()->read(hb.value(), b_buf, off);
+    gate->release();
+    rank_a.join();
+    ASSERT_TRUE(entered) << "file A never reached the backend";
+    EXPECT_FALSE(gate->timed_out()) << "file B's read waited on file A's backend read";
+    ASSERT_TRUE(a_got.ok() && b_got.ok());
+    ASSERT_EQ(a_got.value(), kChunk);
+    ASSERT_EQ(b_got.value(), kChunk);
+    EXPECT_EQ(0, std::memcmp(a_buf.data(), a_data.data() + off, kChunk));
+    EXPECT_EQ(0, std::memcmp(b_buf.data(), b_data.data() + off, kChunk));
   }
+  EXPECT_GT(fs.value()->metrics().counter("crfs.read.prefetch_issued").value(), 0u);
+  ASSERT_TRUE(fs.value()->close(ha.value()).ok());
+  ASSERT_TRUE(fs.value()->close(hb.value()).ok());
 }
 
 // Four ranks restore two files each at once, alternating between their
@@ -692,8 +672,7 @@ TEST_F(ReadPath, ConcurrentScansDoNotSerialize) {
 // fewer free chunks than scans, so some scans run without a window. The
 // ranks' first backend reads must all be in flight together; every byte
 // must match; and the per-restore ledger must account for every read and
-// every prefetched slot. Over a posix backend so a uring engine drives its
-// shared ring.
+// every prefetched slot.
 TEST_F(ReadPath, ConcurrentRanksRestoreByteExact) {
   constexpr unsigned kRanks = 4;
   constexpr unsigned kFilesPerRank = 2;
@@ -705,89 +684,86 @@ TEST_F(ReadPath, ConcurrentRanksRestoreByteExact) {
   }
   auto name = [](unsigned i) { return "rank" + std::to_string(i) + ".img"; };
 
-  for (const IoEngineKind engine : {IoEngineKind::kSync, IoEngineKind::kUring}) {
-    for (const bool readahead : {true, false}) {
-      SCOPED_TRACE(std::string(io_engine_name(engine)) +
-                   (readahead ? " readahead" : " no_readahead"));
-      const auto pdir = dir_ / "ranks";
-      std::filesystem::remove_all(pdir);
-      std::filesystem::create_directories(pdir);
-      auto be = PosixBackend::create(pdir.string());
-      ASSERT_TRUE(be.ok());
-      auto rendezvous = std::make_shared<RendezvousBackend>(
-          std::shared_ptr<BackendFs>(std::move(be.value())), kRanks);
-      auto fs = Crfs::mount(rendezvous,
-                            Config{.chunk_size = kChunk,
-                                   .pool_size = 4 * kChunk,
-                                   .io_engine = engine,
-                                   .uring_depth = 16,
-                                   .readahead = readahead});
-      ASSERT_TRUE(fs.ok());
-      for (unsigned i = 0; i < images.size(); ++i) write_file(*fs.value(), name(i), images[i]);
+  for (const bool readahead : {true, false}) {
+    SCOPED_TRACE(readahead ? "readahead" : "no_readahead");
+    const auto pdir = dir_ / "ranks";
+    std::filesystem::remove_all(pdir);
+    std::filesystem::create_directories(pdir);
+    auto be = PosixBackend::create(pdir.string());
+    ASSERT_TRUE(be.ok());
+    auto rendezvous = std::make_shared<RendezvousBackend>(
+        std::shared_ptr<BackendFs>(std::move(be.value())), kRanks);
+    auto fs = Crfs::mount(rendezvous,
+                          Config{.chunk_size = kChunk,
+                                 .pool_size = 4 * kChunk,
+                                 .readahead = readahead});
+    ASSERT_TRUE(fs.ok());
+    for (unsigned i = 0; i < images.size(); ++i) write_file(*fs.value(), name(i), images[i]);
 
-      std::atomic<unsigned> corrupt{0};
-      std::atomic<unsigned> failed{0};
-      std::vector<std::thread> ranks;
-      for (unsigned r = 0; r < kRanks; ++r) {
-        ranks.emplace_back([&, r] {
-          const OpenFlags ro{.create = false, .truncate = false, .write = false};
-          std::vector<Crfs::FileHandle> handles;
-          std::vector<std::vector<std::byte>> got(kFilesPerRank,
-                                                  std::vector<std::byte>(kFileBytes));
-          std::vector<std::size_t> done(kFilesPerRank, 0);
+    std::atomic<unsigned> corrupt{0};
+    std::atomic<unsigned> failed{0};
+    std::vector<std::thread> ranks;
+    for (unsigned r = 0; r < kRanks; ++r) {
+      ranks.emplace_back([&, r] {
+        const OpenFlags ro{.create = false, .truncate = false, .write = false};
+        std::vector<Crfs::FileHandle> handles;
+        std::vector<std::vector<std::byte>> got(kFilesPerRank,
+                                                std::vector<std::byte>(kFileBytes));
+        std::vector<std::size_t> done(kFilesPerRank, 0);
+        for (unsigned k = 0; k < kFilesPerRank; ++k) {
+          auto h = fs.value()->open(name(r * kFilesPerRank + k), ro);
+          if (!h.ok()) {
+            failed.fetch_add(1);
+            return;
+          }
+          handles.push_back(h.value());
+        }
+        for (bool more = true; more;) {
+          more = false;
           for (unsigned k = 0; k < kFilesPerRank; ++k) {
-            auto h = fs.value()->open(name(r * kFilesPerRank + k), ro);
-            if (!h.ok()) {
+            if (done[k] == kFileBytes) continue;
+            const std::size_t n = std::min(kReadBytes, kFileBytes - done[k]);
+            auto rd = fs.value()->read(handles[k], {got[k].data() + done[k], n}, done[k]);
+            if (!rd.ok() || rd.value() == 0) {
               failed.fetch_add(1);
-              return;
+              done[k] = kFileBytes;
+              continue;
             }
-            handles.push_back(h.value());
+            done[k] += rd.value();
+            more = true;
           }
-          for (bool more = true; more;) {
-            more = false;
-            for (unsigned k = 0; k < kFilesPerRank; ++k) {
-              if (done[k] == kFileBytes) continue;
-              const std::size_t n = std::min(kReadBytes, kFileBytes - done[k]);
-              auto rd = fs.value()->read(handles[k], {got[k].data() + done[k], n}, done[k]);
-              if (!rd.ok() || rd.value() == 0) {
-                failed.fetch_add(1);
-                done[k] = kFileBytes;
-                continue;
-              }
-              done[k] += rd.value();
-              more = true;
-            }
-          }
-          for (unsigned k = 0; k < kFilesPerRank; ++k) {
-            if (got[k] != images[r * kFilesPerRank + k]) corrupt.fetch_add(1);
-            if (!fs.value()->close(handles[k]).ok()) failed.fetch_add(1);
-          }
-        });
-      }
-      for (auto& t : ranks) t.join();
-      EXPECT_FALSE(rendezvous->timed_out()) << "ranks' backend reads ran one at a time";
-      EXPECT_EQ(failed.load(), 0u);
-      EXPECT_EQ(corrupt.load(), 0u) << "a concurrent restore returned wrong bytes";
-
-      const auto ledger = fs.value()->restore_ledger();
-      std::uint64_t ops = 0;
-      std::uint64_t bytes = 0;
-      unsigned rows = 0;
-      for (const auto& row : ledger) {
-        if (row.path.rfind("rank", 0) != 0) continue;
-        SCOPED_TRACE(row.path);
-        ++rows;
-        EXPECT_FALSE(row.active);
-        EXPECT_EQ(row.bytes, kFileBytes);
-        EXPECT_EQ(row.prefetch_issued, row.prefetch_hits + row.prefetch_wasted);
-        if (!readahead) EXPECT_EQ(row.prefetch_issued, 0u);
-        ops += row.ops;
-        bytes += row.bytes;
-      }
-      EXPECT_EQ(rows, images.size());
-      EXPECT_EQ(ops, fs.value()->metrics().counter("crfs.read.ops").value());
-      EXPECT_EQ(bytes, fs.value()->metrics().counter("crfs.read.bytes").value());
+        }
+        for (unsigned k = 0; k < kFilesPerRank; ++k) {
+          if (got[k] != images[r * kFilesPerRank + k]) corrupt.fetch_add(1);
+          if (!fs.value()->close(handles[k]).ok()) failed.fetch_add(1);
+        }
+      });
     }
+    for (auto& t : ranks) t.join();
+    EXPECT_FALSE(rendezvous->timed_out()) << "ranks' backend reads ran one at a time";
+    EXPECT_EQ(failed.load(), 0u);
+    EXPECT_EQ(corrupt.load(), 0u) << "a concurrent restore returned wrong bytes";
+
+    const auto ledger = fs.value()->restore_ledger();
+    std::uint64_t ops = 0;
+    std::uint64_t bytes = 0;
+    unsigned rows = 0;
+    for (const auto& row : ledger) {
+      if (row.path.rfind("rank", 0) != 0) continue;
+      SCOPED_TRACE(row.path);
+      ++rows;
+      EXPECT_FALSE(row.active);
+      EXPECT_EQ(row.bytes, kFileBytes);
+      EXPECT_EQ(row.prefetch_issued, row.prefetch_hits + row.prefetch_wasted);
+      if (!readahead) {
+        EXPECT_EQ(row.prefetch_issued, 0u);
+      }
+      ops += row.ops;
+      bytes += row.bytes;
+    }
+    EXPECT_EQ(rows, images.size());
+    EXPECT_EQ(ops, fs.value()->metrics().counter("crfs.read.ops").value());
+    EXPECT_EQ(bytes, fs.value()->metrics().counter("crfs.read.bytes").value());
   }
 }
 
