@@ -4,13 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <thread>
 
 #include "backend/mem_backend.h"
-#include "backend/posix_backend.h"
 #include "backend/wrappers.h"
 #include "common/checksum.h"
 #include "common/rng.h"
@@ -79,53 +75,6 @@ TEST(CrfsConcurrency, EightWritersEightFilesIntegrity) {
   }
   EXPECT_EQ(fs.value()->open_files(), 0u);
   EXPECT_EQ(fs.value()->queue_depth(), 0u);
-
-  // The same one-file-per-process pattern into a real directory: four
-  // streams of odd-sized appends over 4 KiB chunks, a 16-chunk pool and
-  // two IO threads, compared byte for byte.
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("crfs_conc_posix_" + std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  constexpr int kStreams = 4;
-  constexpr int kWritesPerStream = 200;
-  std::vector<std::string> expect(kStreams);
-  {
-    auto posix = PosixBackend::create(dir.string());
-    ASSERT_TRUE(posix.ok());
-    auto pfs = Crfs::mount(std::move(posix.value()),
-                           Config{.chunk_size = 4 * 1024, .pool_size = 16 * 4 * 1024,
-                                  .io_threads = 2});
-    ASSERT_TRUE(pfs.ok());
-    std::vector<std::thread> streams;
-    for (int t = 0; t < kStreams; ++t) {
-      streams.emplace_back([&, t] {
-        auto h = pfs.value()->open("stream" + std::to_string(t),
-                                   {.create = true, .truncate = true, .write = true});
-        ASSERT_TRUE(h.ok());
-        Rng rng(1000 + t);
-        std::string& exp = expect[t];
-        for (int i = 0; i < kWritesPerStream; ++i) {
-          const std::string data(rng.uniform(100, 6000), static_cast<char>('A' + (i % 26)));
-          ASSERT_TRUE(pfs.value()
-                          ->write(h.value(),
-                                  {reinterpret_cast<const std::byte*>(data.data()),
-                                   data.size()},
-                                  exp.size())
-                          .ok());
-          exp += data;
-        }
-        ASSERT_TRUE(pfs.value()->close(h.value()).ok());
-      });
-    }
-    for (auto& t : streams) t.join();
-  }  // unmounted: the directory holds exactly what the streams wrote
-  for (int t = 0; t < kStreams; ++t) {
-    std::ifstream in(dir / ("stream" + std::to_string(t)), std::ios::binary);
-    const std::string got((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-    EXPECT_TRUE(got == expect[t]) << "stream " << t << " diverges";
-  }
-  std::filesystem::remove_all(dir);
 }
 
 TEST(CrfsConcurrency, TinyPoolForcesBackpressureWithoutLoss) {

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "backend/mem_backend.h"
@@ -295,6 +296,48 @@ TEST(OverwriteOrder, SeededOverwritesMatchByteModel) {
       EXPECT_TRUE(diff.first == got.end())
           << name << " diverges from the model at byte " << (diff.first - got.begin());
     }
+  }
+}
+
+// Four writer threads, each appending odd-sized writes to its own file
+// over 4 KiB chunks, a 16-chunk pool and two IO threads: every file must
+// hold exactly its stream's bytes. (The suite name dates from when this
+// also ran an io_uring engine; the blocking pwrite path is the only one.)
+TEST(IoEngineIdentity, ConcurrentStreamsUringByteExact) {
+  TempDir dir("conc_streams");
+  auto backend = PosixBackend::create(dir.path().string());
+  ASSERT_TRUE(backend.ok());
+  Config cfg;
+  cfg.chunk_size = 4 * KiB;
+  cfg.pool_size = 16 * 4 * KiB;
+  cfg.io_threads = 2;
+  auto fs = Crfs::mount(std::move(backend.value()), cfg);
+  ASSERT_TRUE(fs.ok());
+
+  constexpr int kThreads = 4;
+  constexpr int kWritesPerThread = 200;
+  std::vector<std::string> expect(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      auto h = fs.value()->open("stream" + std::to_string(t),
+                                {.create = true, .truncate = true, .write = true});
+      ASSERT_TRUE(h.ok());
+      Rng rng(1000 + t);
+      std::string& exp = expect[t];
+      for (int i = 0; i < kWritesPerThread; ++i) {
+        const std::size_t len = rng.uniform(100, 6000);
+        std::string data(len, static_cast<char>('A' + (i % 26)));
+        ASSERT_TRUE(fs.value()->write(h.value(), as_bytes(data), exp.size()).ok());
+        exp += data;
+      }
+      ASSERT_TRUE(fs.value()->close(h.value()).ok());
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(read_file(dir.path() / ("stream" + std::to_string(t))), expect[t]) << t;
   }
 }
 
