@@ -4,26 +4,23 @@
 // and 16 parallel streams, each issuing sequential 256 KiB writes that
 // the shim splits into <=128 KiB FUSE-sized requests. MemBackend (not
 // NullBackend) so the IO threads pay a real memcpy per chunk — that is
-// what makes backend-call coalescing and per-file locking visible in the
-// numbers instead of being hidden behind a free discard.
-//
-// Two configurations per stream count:
-//   * tuned   — mount defaults (sharded pool, io_batch=8, pwritev runs)
-//   * legacy  — pool_shards=1, io_batch=1: the pre-scaling pipeline shape
-//     (single pool lock, one pop and one pwrite per chunk)
+// what makes per-file locking and pool contention visible in the numbers
+// instead of being hidden behind a free discard. Every IO thread pops one
+// chunk and writes it with one pwrite (paper §IV-B) in both
+// configurations:
+//   * tuned   — mount defaults (sharded pool)
+//   * legacy  — pool_shards=1: the pre-scaling pool (one global lock)
 //
 // Output: one BENCH_WRITEPATH_STREAMS<N> line per tuned stream count (the
-// CI smoke greps these), a BENCH_WRITEPATH_COALESCED_PWRITES line proving
-// the vectored-write path engaged, and BENCH_WRITEPATH.json in the
-// current directory for artifact upload.
+// CI smoke greps these) and BENCH_WRITEPATH.json in the current directory
+// for artifact upload.
 //
 // A third section runs the same stream counts into a real PosixBackend
 // directory, printing BENCH_WRITEPATH_SYNC_STREAMS<N> lines.
 //
 // Env knobs: CRFS_BENCH_BYTES overrides the per-stream volume and
-// CRFS_BENCH_REPS the repetitions (best-of); CRFS_BENCH_BATCH /
-// CRFS_BENCH_POOL override the tuned config's io_batch / pool_size for
-// one-off experiments. Defaults keep the full run under ~30 s.
+// CRFS_BENCH_REPS the repetitions (best-of); CRFS_BENCH_POOL overrides
+// the tuned config's pool_size for one-off experiments. Defaults keep the full run under ~30 s.
 //
 // Wall-clock caveat: on a single-core host the writer threads and IO
 // workers timeshare one CPU, so lock-contention wins cannot show up as
@@ -52,7 +49,6 @@ namespace {
 
 struct RunResult {
   double mib_s = 0.0;
-  std::uint64_t coalesced_pwrites = 0;
   std::uint64_t backend_pwrites = 0;
 };
 
@@ -92,7 +88,6 @@ RunResult run_streams(int streams, std::size_t per_stream, const Config& cfg) {
 
   RunResult r;
   r.mib_s = static_cast<double>(per_stream) * streams / MiB / seconds;
-  r.coalesced_pwrites = fs.value()->metrics().counter("crfs.io.coalesced_pwrites").value();
   r.backend_pwrites = mem->total_pwrites();
   return r;
 }
@@ -179,12 +174,10 @@ int main() {
     reps = std::max(1, std::atoi(env));
   }
 
-  Config tuned{};  // mount defaults: auto shards, io_batch=8
-  if (const char* env = std::getenv("CRFS_BENCH_BATCH")) tuned.io_batch = static_cast<unsigned>(std::atoi(env));
+  Config tuned{};  // mount defaults: auto shards
   if (const char* env = std::getenv("CRFS_BENCH_POOL")) { if (auto p = parse_bytes(env)) tuned.pool_size = *p; }
   Config legacy{};
   legacy.pool_shards = 1;
-  legacy.io_batch = 1;
 
   std::printf("=== Multistream write-path throughput (FuseShim -> Crfs -> MemBackend) ===\n");
   std::printf("tuned: %s | legacy: %s | best of %d reps\n\n",
@@ -192,7 +185,6 @@ int main() {
 
   const int stream_counts[] = {1, 4, 16};
   std::vector<std::pair<int, RunResult>> tuned_results;
-  std::uint64_t total_coalesced = 0;
   for (const int streams : stream_counts) {
     // Keep the 16-stream run's total volume in the same ballpark as the
     // single-stream run so wall-clock stays flat across rows.
@@ -200,11 +192,9 @@ int main() {
     const RunResult t = best_of(reps, streams, per_stream, tuned);
     const RunResult l = best_of(reps, streams, per_stream, legacy);
     tuned_results.emplace_back(streams, t);
-    total_coalesced += t.coalesced_pwrites;
-    std::printf("streams=%-2d  tuned %8.1f MiB/s (%llu backend pwrites, %llu coalesced)"
+    std::printf("streams=%-2d  tuned %8.1f MiB/s (%llu backend pwrites)"
                 "  legacy %8.1f MiB/s (%llu pwrites)  speedup %.2fx\n",
-                streams, t.mib_s, static_cast<unsigned long long>(t.backend_pwrites),
-                static_cast<unsigned long long>(t.coalesced_pwrites), l.mib_s,
+                streams, t.mib_s, static_cast<unsigned long long>(t.backend_pwrites), l.mib_s,
                 static_cast<unsigned long long>(l.backend_pwrites),
                 l.mib_s > 0 ? t.mib_s / l.mib_s : 0.0);
   }
@@ -213,8 +203,6 @@ int main() {
   for (const auto& [streams, r] : tuned_results) {
     std::printf("BENCH_WRITEPATH_STREAMS%d %.1f MiB/s\n", streams, r.mib_s);
   }
-  std::printf("BENCH_WRITEPATH_COALESCED_PWRITES %llu\n",
-              static_cast<unsigned long long>(total_coalesced));
 
   // Machine-readable copy for the CI artifact.
   if (std::FILE* f = std::fopen("BENCH_WRITEPATH.json", "w")) {
@@ -222,26 +210,21 @@ int main() {
     for (std::size_t i = 0; i < tuned_results.size(); ++i) {
       const auto& [streams, r] = tuned_results[i];
       std::fprintf(f,
-                   "    \"%d\": {\"mib_per_s\": %.1f, \"backend_pwrites\": %llu, "
-                   "\"coalesced_pwrites\": %llu}%s\n",
+                   "    \"%d\": {\"mib_per_s\": %.1f, \"backend_pwrites\": %llu}%s\n",
                    streams, r.mib_s, static_cast<unsigned long long>(r.backend_pwrites),
-                   static_cast<unsigned long long>(r.coalesced_pwrites),
                    i + 1 < tuned_results.size() ? "," : "");
     }
-    std::fprintf(f, "  },\n  \"coalesced_pwrites_total\": %llu\n}\n",
-                 static_cast<unsigned long long>(total_coalesced));
+    std::fprintf(f, "  }\n}\n");
     std::fclose(f);
     std::printf("wrote BENCH_WRITEPATH.json\n");
   }
 
   // ---- The same streams over PosixBackend --------------------------------
-  // Smaller chunks + modest batch produce many backend writes per second
-  // instead of one giant coalesced pwritev per batch.
+  // Smaller chunks produce many backend writes per second.
   Config posix_cfg{};
   posix_cfg.chunk_size = 1 * MiB;
   posix_cfg.pool_size = 16 * MiB;
   posix_cfg.io_threads = 2;
-  posix_cfg.io_batch = 4;
 
   // Disk writes are slower than MemBackend memcpys; trim the volume so the
   // posix section stays in the same wall-clock ballpark.
@@ -262,11 +245,6 @@ int main() {
   std::printf("\n");
   for (const auto& [streams, mib_s] : posix_rows) {
     std::printf("BENCH_WRITEPATH_SYNC_STREAMS%d %.1f MiB/s\n", streams, mib_s);
-  }
-
-  if (total_coalesced == 0) {
-    std::fprintf(stderr, "FAIL: sequential workload produced no coalesced pwrites\n");
-    return 1;
   }
   return 0;
 }

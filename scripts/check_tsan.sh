@@ -16,7 +16,8 @@
 # mount driving breach events from IO threads), and test_tiered (the
 # background drain thread evicting staged extents while writers stage,
 # stall on backpressure, and read across tiers; drain-failure retry
-# racing the healing remote).
+# racing the healing remote), and test_work_queue (four IO threads each
+# popping one chunk and writing at once through a gating backend).
 # Any data-race report fails the run (TSan exits non-zero).
 set -euo pipefail
 
@@ -26,7 +27,7 @@ BUILD_DIR=${BUILD_DIR:-build-tsan}
 JOBS=${JOBS:-2}
 
 cmake -B "$BUILD_DIR" -S . -DCRFS_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$BUILD_DIR" -j "$JOBS" --target test_obs test_crfs_concurrency test_epoch_ledger test_write_path test_control test_read_path test_journal test_tiered
+cmake --build "$BUILD_DIR" -j "$JOBS" --target test_obs test_crfs_concurrency test_epoch_ledger test_write_path test_control test_read_path test_journal test_tiered test_work_queue
 
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$BUILD_DIR"/tests/test_obs
@@ -41,5 +42,6 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # JournalCrash suite is skipped here (it runs in the plain ctest job).
 "$BUILD_DIR"/tests/test_journal --gtest_filter='-JournalCrash.*'
 "$BUILD_DIR"/tests/test_tiered
+"$BUILD_DIR"/tests/test_work_queue
 
 echo "TSan: clean"

@@ -73,9 +73,9 @@ class BackendFs {
                         std::uint64_t offset) = 0;
 
   /// Writes all segments contiguously starting at `offset` (the segments
-  /// land back to back, like ::pwritev). The IO pool uses this to issue
-  /// one backend call for a run of adjacent chunks. The default forwards
-  /// segment by segment through pwrite(), so decorating backends
+  /// land back to back, like ::pwritev). The mount's IO threads do not
+  /// use it (one pwrite per chunk, paper §IV-B); it serves callers that
+  /// hold a scatter list. The default forwards segment by segment through pwrite(), so decorating backends
   /// (FaultyBackend, ThrottledBackend) keep their per-write behaviour;
   /// backends with a cheaper native path override it.
   virtual Status pwritev(BackendFile file, std::span<const BackendIoVec> iov,

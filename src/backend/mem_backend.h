@@ -32,9 +32,8 @@ class MemBackend final : public BackendFs {
   Status close_file(BackendFile file) override;
   Status pwrite(BackendFile file, std::span<const std::byte> data,
                 std::uint64_t offset) override;
-  /// One backend call (and one pwrite_calls_ tick) for the whole run of
-  /// segments: a coalesced flush counts as a single aggregated write in
-  /// the aggregation-bound tests, same as it would on a real filesystem.
+  /// One backend call (and one pwrite_calls_ tick) for the whole scatter
+  /// list, same as one ::pwritev on a real filesystem.
   Status pwritev(BackendFile file, std::span<const BackendIoVec> iov,
                  std::uint64_t offset) override;
   Result<std::size_t> pread(BackendFile file, std::span<std::byte> data,

@@ -32,7 +32,7 @@ class NullBackend final : public BackendFs {
     std::size_t total = 0;
     for (const auto& seg : iov) total += seg.len;
     bytes_.fetch_add(total, std::memory_order_relaxed);
-    writes_.fetch_add(1, std::memory_order_relaxed);  // one coalesced call
+    writes_.fetch_add(1, std::memory_order_relaxed);  // one call for the whole scatter list
     return {};
   }
   Result<std::size_t> pread(BackendFile, std::span<std::byte>, std::uint64_t) override {

@@ -79,8 +79,8 @@ Status PosixBackend::pwrite(BackendFile file, std::span<const std::byte> data,
 
 Status PosixBackend::pwritev(BackendFile file, std::span<const BackendIoVec> iov,
                              std::uint64_t offset) {
-  // IOV_MAX is at least 1024 everywhere; the IO pool's batches are far
-  // smaller, but fall back to the segment loop rather than assume.
+  // IOV_MAX is at least 1024 everywhere; fall back to the segment loop
+  // rather than assume a caller's scatter list fits.
   if (iov.size() > static_cast<std::size_t>(IOV_MAX)) {
     return BackendFs::pwritev(file, iov, offset);
   }

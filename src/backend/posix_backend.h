@@ -25,7 +25,7 @@ class PosixBackend final : public BackendFs {
   Status close_file(BackendFile file) override;
   Status pwrite(BackendFile file, std::span<const std::byte> data,
                 std::uint64_t offset) override;
-  /// Native ::pwritev — one syscall for a whole run of adjacent chunks.
+  /// Native ::pwritev — one syscall for a whole scatter list.
   Status pwritev(BackendFile file, std::span<const BackendIoVec> iov,
                  std::uint64_t offset) override;
   /// BackendFile is the fd itself, so async engines can submit directly.

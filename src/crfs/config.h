@@ -26,9 +26,14 @@ struct Config {
   /// available memory").
   std::size_t pool_size = 16 * MiB;
 
-  /// Number of IO worker threads draining the work queue. This is the
+  /// Number of IO worker threads draining the work queue. Each worker
+  /// pops one chunk and writes it with one pwrite, so this is the
   /// concurrency throttle toward the backend; the paper finds 4 "generally
-  /// yields the best throughput".
+  /// yields the best throughput". Overlapping chunks of one file are never
+  /// queued together: a chunk that starts below the file's queued
+  /// high-water mark waits at enqueue for the file's outstanding chunks
+  /// (Crfs::flush_current_locked), so any io_threads value keeps
+  /// last-writer-wins.
   unsigned io_threads = 4;
 
   /// Buffer-pool shard count (docs/PERFORMANCE.md). The free list is
@@ -38,19 +43,6 @@ struct Config {
   /// effective count never exceeds the number of chunks. Mount option
   /// `pool_shards=N`.
   std::size_t pool_shards = 0;
-
-  /// Max chunks an IO worker drains from the work queue per lock
-  /// acquisition (docs/PERFORMANCE.md). Batches are grouped by file
-  /// (FIFO order kept within a file) and adjacent chunks coalesce into
-  /// one vectored backend write. Overlapping chunks of one file are never
-  /// queued together: a chunk that starts below the file's queued
-  /// high-water mark waits at enqueue for the file's outstanding chunks
-  /// (Crfs::flush_current_locked), so any io_batch or io_threads value
-  /// keeps last-writer-wins. 1 disables batching (one pop, one
-  /// pwrite — the pre-batching behaviour). The effective batch is capped
-  /// at half the pool's chunk count so a single batch can never park the
-  /// whole pool behind one coalesced write. Mount option `io_batch=N`.
-  unsigned io_batch = 8;
 
   /// Large-write copy bypass: an application write of at least chunk_size
   /// bytes landing exactly at the file's append point skips the
@@ -153,19 +145,16 @@ struct Config {
   /// Feedback controller (docs/OBSERVABILITY.md "Control plane"): when
   /// true, an obs::Controller runs on the Sampler's tick path and retunes
   /// the knob plane under pipeline pathology (grow the pool on
-  /// starvation, widen submission when the queue rises against a healthy
-  /// backend, shed toward the paper's §IV throttling when the backend is
-  /// the bottleneck). Every decision — applied, clamped, or vetoed — is
-  /// audited in the decision log, crfs.ctl.* metrics, stats_json, and the
-  /// postmortem. Requires sample_ms > 0. Mount option `controller=on`.
+  /// starvation; narrow restore readahead or throttle the tier's drain
+  /// when either competes with queued checkpoint writes). Every decision
+  /// — applied, clamped, or vetoed — is audited in the decision log,
+  /// crfs.ctl.* metrics, stats_json, and the postmortem. Requires
+  /// sample_ms > 0. Mount option `controller=on`.
   bool controller = false;
 
   /// Upper bound (bytes) for runtime buffer-pool growth via the knob
   /// plane; requests above it are clamped. 0 auto-sizes to 4x pool_size.
   std::size_t tune_pool_max = 0;
-
-  /// Upper bound for runtime io_batch raises via the knob plane.
-  unsigned tune_io_batch_max = 256;
 
   /// Tail-latency forensics (docs/OBSERVABILITY.md "Slow exemplars"):
   /// a chunk whose copy-in -> durable lag OR backend device time reaches
@@ -257,7 +246,6 @@ struct Config {
     if (pool_size < chunk_size) {
       return Error{EINVAL, "pool_size must hold at least one chunk"};
     }
-    if (io_batch == 0) return Error{EINVAL, "io_batch must be > 0"};
     if (readahead_window == 0 || readahead_window > 1024) {
       return Error{EINVAL, "readahead_window must be in [1, 1024]"};
     }
@@ -279,9 +267,6 @@ struct Config {
     }
     if (controller && sample_ms == 0) {
       return Error{EINVAL, "controller=on requires sample_ms > 0"};
-    }
-    if (tune_io_batch_max == 0) {
-      return Error{EINVAL, "tune_io_batch_max must be > 0"};
     }
     if (slow_exemplars == 0) {
       return Error{EINVAL, "slow_exemplars must be > 0"};
@@ -339,7 +324,6 @@ struct Config {
     return "chunk=" + format_bytes(chunk_size) + " pool=" + format_bytes(pool_size) +
            " io_threads=" + std::to_string(io_threads) +
            (pool_shards > 0 ? " pool_shards=" + std::to_string(pool_shards) : "") +
-           (io_batch != 1 ? " io_batch=" + std::to_string(io_batch) : "") +
            (!large_write_bypass ? " no_bypass" : "") +
            (!readahead ? " no_readahead" : "") +
            (readahead_window != 4 ? " readahead_window=" + std::to_string(readahead_window)

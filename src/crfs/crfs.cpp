@@ -92,8 +92,6 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
   io_obs.pwrite_errors = c_pwrite_errors_;
   io_obs.trace = &trace_;
   io_obs.events = &events;
-  io_obs.batch_chunks = &reg.histogram("crfs.io.batch_chunks");
-  io_obs.coalesced_pwrites = &reg.counter("crfs.io.coalesced_pwrites");
   io_obs.durability_lag_ns = &reg.histogram("crfs.chunk.durability_lag_ns");
   io_obs.slow = &telemetry_.slow();
   io_obs.slow_captured = &reg.counter("crfs.slow.captured");
@@ -110,7 +108,7 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
     flight_ = std::make_unique<obs::FlightRecorder>(obs::FlightRecorder::Options{
         .path = cfg_.postmortem_path, .capacity = cfg_.postmortem_buffer});
     flight_->install_signal_handlers();
-    io_obs.on_run_complete = [this] { refresh_flight(/*force=*/false); };
+    io_obs.on_write_complete = [this] { refresh_flight(/*force=*/false); };
   }
   // After the journal records an event, the flight recorder dumps on
   // criticals: error bursts and failed pwrites should leave a dump even
@@ -124,16 +122,8 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
       }
     });
   }
-  // Cap the dequeue batch at half the pool: a batch's chunks stay parked
-  // (and its writers starved) until the whole coalesced write lands, so a
-  // batch that could drain the entire pool would run the pipeline in
-  // lockstep — fill all chunks, stall, write all chunks — instead of
-  // overlapping writers with IO (docs/PERFORMANCE.md).
-  const unsigned batch_cap =
-      static_cast<unsigned>(std::max<std::size_t>(1, cfg_.num_chunks() / 2));
-  io_pool_ = std::make_unique<IoThreadPool>(
-      cfg_.io_threads, queue_, *pool_, *backend_, io_obs,
-      std::min(cfg_.io_batch, batch_cap));
+  io_pool_ = std::make_unique<IoThreadPool>(cfg_.io_threads, queue_, *pool_, *backend_,
+                                            io_obs);
 
   // Restore-side read pipeline (docs/PERFORMANCE.md "Read path and
   // restore").
@@ -266,9 +256,7 @@ void Crfs::define_knobs() {
 
   // pool_chunks: grow/shrink the buffer pool by whole chunks, ceiling from
   // tune_pool_max (0 = 4x the mount-time pool). Shrinks are best-effort
-  // over free chunks, so the apply reports what it actually achieved. A
-  // resize also re-clamps the effective IO batch against the new
-  // half-the-pool cap (same invariant the mount ctor establishes).
+  // over free chunks, so the apply reports what it actually achieved.
   const std::size_t pool_cap_bytes =
       cfg_.tune_pool_max != 0 ? cfg_.tune_pool_max : cfg_.pool_size * 4;
   const std::size_t pool_cap_chunks =
@@ -281,28 +269,6 @@ void Crfs::define_knobs() {
         if (got != static_cast<std::size_t>(v)) {
           *achieved = static_cast<double>(got);
           *reason = "shrink bounded by free chunks";
-        }
-        const unsigned cap = static_cast<unsigned>(std::max<std::size_t>(1, got / 2));
-        const auto tuned_batch = static_cast<unsigned>(
-            knobs_->snapshot()->get("io_batch", io_pool_->batch()));
-        io_pool_->set_batch(std::min(tuned_batch, cap));
-        return true;
-      });
-
-  // io_batch: chunks per work-queue drain. The half-the-pool cap is
-  // enforced at apply time (and re-checked when pool_chunks changes).
-  knobs_->define(
-      KnobDef{"io_batch", 1.0, static_cast<double>(cfg_.tune_io_batch_max), "chunks"},
-      static_cast<double>(io_pool_->batch()),
-      [this](double v, double* achieved, std::string* reason) {
-        const unsigned cap = static_cast<unsigned>(
-            std::max<std::size_t>(1, pool_->total_chunks() / 2));
-        const auto want = static_cast<unsigned>(v);
-        const unsigned eff = std::min(want, cap);
-        io_pool_->set_batch(eff);
-        if (eff != want) {
-          *achieved = static_cast<double>(eff);
-          *reason = "capped at half the pool (" + std::to_string(cap) + " chunks)";
         }
         return true;
       });
@@ -479,11 +445,12 @@ Result<Crfs::FileHandle> Crfs::open(const std::string& path, OpenFlags flags) {
   if (reopened) {
     stats_.reopens.add(1);
     if (flags.truncate && flags.write) {
-      // Truncating reopen: discard buffered data and truncate the backend.
+      // Truncating reopen: discard buffered data (the partial chunk goes
+      // back to the pool) and truncate the backend.
       auto& e = *entry.value();
       {
         std::lock_guard agg(e.agg_mu);
-        e.current.reset();
+        if (e.current != nullptr) pool_->release(std::move(e.current));
         e.size_seen.store(0, std::memory_order_relaxed);
         e.write_gen.fetch_add(1, std::memory_order_release);
       }

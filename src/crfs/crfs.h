@@ -145,8 +145,8 @@ class Crfs {
   std::size_t queue_depth() const { return queue_.depth(); }
 
   /// The write and restore-read paths' IO engine. Always "sync": IO
-  /// threads issue blocking pwrite/pwritev and readahead issues blocking
-  /// preads. Kept for tools that print or export the engine name.
+  /// threads issue one blocking pwrite per chunk and readahead issues
+  /// blocking preads. Kept for tools that print or export the engine name.
   const char* active_io_engine() const { return "sync"; }
   const char* active_read_engine() const { return "sync"; }
 
@@ -223,11 +223,10 @@ class Crfs {
   std::string slo_json() const { return telemetry_.slo_json(); }
 
   // -- Control plane (docs/OBSERVABILITY.md "Control plane") ----------------
-  /// Runtime-tunes one knob ("pool_chunks", "io_batch", "sample_ms", "slow_pwrite_ms", "epoch_gap_ms", "slow_capture_ms",
-  /// "readahead", "readahead_window").
-  /// Out-of-bounds
-  /// requests are clamped, impossible ones vetoed; every outcome is
-  /// recorded in the decision log (and thus metrics/events/postmortem)
+  /// Runtime-tunes one knob ("pool_chunks", "sample_ms", "slow_pwrite_ms",
+  /// "epoch_gap_ms", "slow_capture_ms", "readahead", "readahead_window",
+  /// ...). Out-of-bounds requests are clamped, impossible ones vetoed;
+  /// every outcome is recorded in the decision log (and thus metrics/events/postmortem)
   /// before the returned CtlDecision is handed back. `source` tags the
   /// audit trail: "manual" (API/crfsctl), "ctlfile" (.crfs_tune), or
   /// "controller".
@@ -328,7 +327,7 @@ class Crfs {
   Config cfg_;
   // Declared before the pipeline pieces: instrumented stages hold
   // references into these sinks (registry, events, slow store, epoch
-  // states), and the IO pool's on_run_complete hook refreshes the flight
+  // states), and the IO pool's on_write_complete hook refreshes the flight
   // recorder, so all of them must outlive pool_/queue_/io_pool_.
   Telemetry telemetry_;
   MountStats stats_;

@@ -1,7 +1,8 @@
 // IoThreadPool: the pool of worker IO threads draining the work queue
-// (paper §IV-B). Each worker issues one blocking pwrite/pwritev at a
-// time, so the thread count throttles the number of outstanding chunk
-// writes hitting the backend at once.
+// (paper §IV-B). Each worker pops one chunk and issues one blocking
+// pwrite for it, so the thread count throttles the number of outstanding
+// chunk writes hitting the backend at once, and no queued chunk waits
+// behind a chunk another worker has popped but not started.
 //
 // Overwrite ordering is not the pool's concern: Crfs::flush_current_locked
 // never queues a chunk that could overlap one of the same file still
@@ -42,16 +43,10 @@ struct IoPoolObs {
   /// sticky FileEntry error surfaces at close/fsync, this log says what
   /// and where).
   obs::EventBuffer* events = nullptr;
-  /// Batch-dequeue shape: chunks drained per pop_batch (crfs.io.batch_chunks).
-  obs::LatencyHistogram* batch_chunks = nullptr;
-  /// Vectored writes issued for runs of >1 adjacent chunks
-  /// (crfs.io.coalesced_pwrites).
-  obs::Counter* coalesced_pwrites = nullptr;
   /// Chunk-lifecycle ledger (docs/OBSERVABILITY.md "Durability lag"):
   /// copy-in (Chunk::born_ns) -> pwrite-complete, per chunk
-  /// (crfs.chunk.durability_lag_ns). Recorded from the run's single
-  /// completion stamp; chunks whose producer never stamped born_ns are
-  /// skipped.
+  /// (crfs.chunk.durability_lag_ns). Chunks whose producer never stamped
+  /// born_ns are skipped.
   obs::LatencyHistogram* durability_lag_ns = nullptr;
   /// Tail-latency forensic store (docs/OBSERVABILITY.md "Slow exemplars"):
   /// a chunk whose durability lag or device time crosses the store's
@@ -63,30 +58,19 @@ struct IoPoolObs {
   /// Knob-plane generation at capture time (0 when no knob plane); lets a
   /// slow exemplar say which tuning state it was captured under.
   std::function<std::uint64_t()> knob_generation;
-  /// Called after each completed run (post chunk release) — the flight
-  /// recorder's throttled-refresh hook. One indirect call per backend
-  /// write (chunk-sized granularity), nullptr when no recorder exists.
-  std::function<void()> on_run_complete;
-};
-
-/// One coalesced backend write: same-file, offset-adjacent jobs whose
-/// payloads land back to back starting at `offset`.
-struct IoRun {
-  std::vector<WriteJob> jobs;
-  std::uint64_t offset = 0;  ///< file offset of the first chunk
-  std::uint64_t total = 0;   ///< sum of the chunks' fills
+  /// Called after each completed chunk write (post chunk release) — the
+  /// flight recorder's throttled-refresh hook. One indirect call per
+  /// backend write, nullptr when no recorder exists.
+  std::function<void()> on_write_complete;
 };
 
 class IoThreadPool {
  public:
-  /// Starts `threads` workers. Each worker loops: pop up to `batch`
-  /// already-queued chunks, group them by file (keeping FIFO order within
-  /// a file), write each run of adjacent chunks with one blocking
-  /// pwrite/pwritev, then bump the owning files' complete-chunk counts and
-  /// return the chunks to the pool. `batch == 1` reproduces the original
-  /// one-chunk-per-pop behaviour exactly.
+  /// Starts `threads` workers. Each worker loops: pop one chunk, write it
+  /// with one blocking pwrite, then bump the owning file's complete-chunk
+  /// count and return the chunk to the pool.
   IoThreadPool(unsigned threads, WorkQueue& queue, BufferPool& pool, BackendFs& backend,
-               IoPoolObs observe = {}, unsigned batch = 1);
+               IoPoolObs observe = {});
 
   /// Drains the queue and joins all workers.
   ~IoThreadPool();
@@ -114,26 +98,18 @@ class IoThreadPool {
   /// Jobs currently being written by a worker (popped, not yet finished).
   unsigned in_flight() const { return in_flight_.load(std::memory_order_relaxed); }
 
-  /// Runtime io_batch re-arm (knob plane): workers pick the new value up
-  /// on their next dequeue. The caller pre-clamps to the half-the-pool
-  /// cap (Crfs re-derives it whenever the pool or the knob moves).
-  void set_batch(unsigned batch) {
-    batch_.store(batch == 0 ? 1 : batch, std::memory_order_relaxed);
-  }
-  unsigned batch() const { return batch_.load(std::memory_order_relaxed); }
-
  private:
   void worker_loop();
-  /// Accounts one finished run (metrics, epoch attribution, sticky
-  /// error), completes and releases every chunk. `t_start`/`t_done`
+  /// Accounts one finished chunk write (metrics, epoch attribution,
+  /// sticky error), completes and releases the chunk. `t_start`/`t_done`
   /// bracket the backend write.
-  void complete_run(IoRun run, Status status, std::uint64_t t_start, std::uint64_t t_done);
+  void complete_job(WriteJob job, Status status, std::uint64_t t_start,
+                    std::uint64_t t_done);
 
   WorkQueue& queue_;
   BufferPool& pool_;
   BackendFs& backend_;
   IoPoolObs obs_;
-  std::atomic<unsigned> batch_;
   std::atomic<std::uint64_t> chunks_written_{0};
   std::atomic<std::uint64_t> bytes_written_{0};
   std::atomic<unsigned> in_flight_{0};

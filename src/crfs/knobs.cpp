@@ -9,7 +9,7 @@ namespace crfs {
 namespace {
 
 // Deterministic numeric rendering for knob values: integral values print
-// with no fraction (the common case — chunk counts, batch sizes, ms), the
+// with no fraction (the common case — chunk counts, windows, ms), the
 // rest with %g. Byte-identical output is part of the decision-log replay
 // contract, so everything funnels through here.
 void append_num(std::string& out, double v) {

@@ -6,7 +6,7 @@
 //
 //   * every knob is registered with declared [min, max] bounds and an
 //     ApplyFn that commits the new value to the live component (pool
-//     resize, io_batch re-clamp, ring re-arm, sampler period, ...);
+//     resize, readahead window, ring re-arm, sampler period, ...);
 //   * each successful tune publishes a fresh immutable KnobSnapshot via an
 //     atomic pointer swap, with a monotonically increasing generation
 //     counter — readers (stats_json, the feedback controller, the write

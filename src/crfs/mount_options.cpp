@@ -65,15 +65,6 @@ Result<MountOptions> parse_mount_options(std::string_view text) {
         return Error{EINVAL, "bad shard count: '" + std::string(value) + "'"};
       }
       out.config.pool_shards = shards;  // 0 = auto
-    } else if (key == "io_batch") {
-      unsigned batch = 0;
-      const auto* begin = value.data();
-      const auto* end = value.data() + value.size();
-      const auto [ptr, ec] = std::from_chars(begin, end, batch);
-      if (ec != std::errc{} || ptr != end || batch == 0) {
-        return Error{EINVAL, "bad io_batch: '" + std::string(value) + "'"};
-      }
-      out.config.io_batch = batch;
     } else if (key == "bypass") {
       out.config.large_write_bypass = true;
     } else if (key == "no_bypass") {
@@ -136,15 +127,6 @@ Result<MountOptions> parse_mount_options(std::string_view text) {
       out.config.controller = false;
     } else if (key == "tune_pool_max") {
       CRFS_RETURN_IF_ERROR(need_size(out.config.tune_pool_max));
-    } else if (key == "tune_io_batch_max") {
-      unsigned parsed = 0;
-      const auto* begin = value.data();
-      const auto* end = value.data() + value.size();
-      const auto [ptr, ec] = std::from_chars(begin, end, parsed);
-      if (ec != std::errc{} || ptr != end || parsed == 0) {
-        return Error{EINVAL, "bad tune_io_batch_max: '" + std::string(value) + "'"};
-      }
-      out.config.tune_io_batch_max = parsed;
     } else if (key == "sample_ms" || key == "sample_ring" || key == "slow_pwrite_ms" ||
                key == "slow_capture_ms" || key == "slow_exemplars") {
       unsigned parsed = 0;
@@ -273,9 +255,6 @@ std::string format_mount_options(const MountOptions& options) {
   if (options.config.pool_shards > 0) {
     s += ",pool_shards=" + std::to_string(options.config.pool_shards);
   }
-  if (options.config.io_batch != Config{}.io_batch) {
-    s += ",io_batch=" + std::to_string(options.config.io_batch);
-  }
   if (!options.config.large_write_bypass) s += ",no_bypass";
   if (!options.config.readahead) s += ",no_readahead";
   if (options.config.readahead_window != Config{}.readahead_window) {
@@ -363,9 +342,6 @@ std::string format_mount_options(const MountOptions& options) {
   if (options.config.controller) s += ",controller=on";
   if (options.config.tune_pool_max != 0) {
     s += ",tune_pool_max=" + exact_size(options.config.tune_pool_max);
-  }
-  if (options.config.tune_io_batch_max != Config{}.tune_io_batch_max) {
-    s += ",tune_io_batch_max=" + std::to_string(options.config.tune_io_batch_max);
   }
   return s;
 }

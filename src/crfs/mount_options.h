@@ -22,7 +22,6 @@ struct MountOptions {
 ///   pool=<size>         buffer pool size                (default 16M)
 ///   threads=<n>         IO thread count                 (default 4)
 ///   pool_shards=<n>     buffer-pool shard count, 0=auto (default 0)
-///   io_batch=<n>        chunks per IO dequeue, 1=off    (default 8)
 ///   bypass              large-write copy bypass         (default on)
 ///   no_bypass           always aggregate through the buffer pool
 ///   big_writes          128 KB FUSE requests            (default on)
@@ -53,8 +52,6 @@ struct MountOptions {
 ///   tune_pool_max=<size>
 ///                       runtime pool-growth ceiling for the knob
 ///                       plane, 0=auto (4x pool)         (default 0)
-///   tune_io_batch_max=<n>
-///                       runtime io_batch ceiling        (default 256)
 /// Sizes accept K/M/G suffixes. Unknown keys, malformed values, or a
 /// configuration that fails Config::validate() return an error.
 Result<MountOptions> parse_mount_options(std::string_view text);

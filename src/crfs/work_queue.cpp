@@ -16,54 +16,20 @@ void WorkQueue::push(WriteJob job) {
 }
 
 std::optional<WriteJob> WorkQueue::pop() {
-  auto batch = pop_batch(1);
-  if (batch.empty()) return std::nullopt;
-  return std::move(batch.front());
-}
-
-std::vector<WriteJob> WorkQueue::pop_batch(std::size_t max) {
-  if (max == 0) max = 1;
-  std::vector<WriteJob> batch;
+  std::optional<WriteJob> job;
   {
     std::unique_lock lock(mu_);
     ready_.wait(lock, [&] { return !jobs_.empty() || shutdown_; });
-    drain_locked(batch, max);
-    if (batch.empty()) return batch;  // shutdown and drained
-  }
-  stamp_dequeued(batch);
-  return batch;
-}
-
-std::vector<WriteJob> WorkQueue::try_pop_batch(std::size_t max) {
-  if (max == 0) max = 1;
-  std::vector<WriteJob> batch;
-  {
-    std::lock_guard lock(mu_);
-    drain_locked(batch, max);
-    if (batch.empty()) return batch;
-  }
-  stamp_dequeued(batch);
-  return batch;
-}
-
-void WorkQueue::drain_locked(std::vector<WriteJob>& batch, std::size_t max) {
-  const std::size_t n = jobs_.size() < max ? jobs_.size() : max;
-  batch.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    batch.push_back(std::move(jobs_.front()));
+    if (jobs_.empty()) return std::nullopt;  // shutdown and drained
+    job.emplace(std::move(jobs_.front()));
     jobs_.pop_front();
   }
-}
-
-void WorkQueue::stamp_dequeued(std::vector<WriteJob>& batch) {
-  // One clock read for the whole batch; per-job deltas still recorded.
   const std::uint64_t now = obs::now_ns();
-  for (WriteJob& job : batch) {
-    job.dequeue_ns = now;
-    if (wait_hist_ != nullptr && job.enqueue_ns != 0) {
-      wait_hist_->record(now > job.enqueue_ns ? now - job.enqueue_ns : 0);
-    }
+  job->dequeue_ns = now;
+  if (wait_hist_ != nullptr && job->enqueue_ns != 0) {
+    wait_hist_->record(now > job->enqueue_ns ? now - job->enqueue_ns : 0);
   }
+  return job;
 }
 
 void WorkQueue::shutdown() {

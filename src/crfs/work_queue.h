@@ -13,7 +13,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <vector>
 
 #include "crfs/chunk.h"
 #include "obs/epoch.h"
@@ -35,7 +34,7 @@ struct WriteJob {
   /// the chunk is in flight.
   std::shared_ptr<obs::EpochState> epoch{};
   /// Chunk-lifecycle ledger stamps (obs::now_ns): push() stamps enqueue,
-  /// pop_batch() stamps dequeue. The delta is queue residency; the wait
+  /// pop() stamps dequeue. The delta is queue residency; the wait
   /// histogram (when installed) records the same quantity mount-wide.
   std::uint64_t enqueue_ns = 0;
   std::uint64_t dequeue_ns = 0;
@@ -46,19 +45,10 @@ class WorkQueue {
   /// Appends a job and wakes one IO thread.
   void push(WriteJob job);
 
-  /// Blocks for the next job; nullopt after shutdown once drained.
+  /// Blocks for the next job; nullopt after shutdown once drained. Each
+  /// IO thread takes exactly one chunk per pop (paper §IV-B), so a queued
+  /// chunk never waits behind another chunk parked in a busy worker.
   std::optional<WriteJob> pop();
-
-  /// Blocks for the first job, then greedily drains up to `max` jobs that
-  /// are already queued — one lock acquisition for the whole batch, never
-  /// waiting for stragglers. Returns empty only after shutdown once
-  /// drained. The IO pool groups the batch by file and coalesces adjacent
-  /// chunks into vectored backend writes (docs/PERFORMANCE.md).
-  std::vector<WriteJob> pop_batch(std::size_t max);
-
-  /// Non-blocking pop_batch: returns immediately (possibly empty) instead
-  /// of waiting for the first job, for consumers that must not park.
-  std::vector<WriteJob> try_pop_batch(std::size_t max);
 
   /// Lets pop() return nullopt once the queue is empty. Already-queued
   /// jobs are still handed out so teardown never loses buffered data.
@@ -73,9 +63,6 @@ class WorkQueue {
   std::uint64_t total_pushed() const;
 
  private:
-  void drain_locked(std::vector<WriteJob>& batch, std::size_t max);
-  void stamp_dequeued(std::vector<WriteJob>& batch);
-
   mutable std::mutex mu_;
   std::condition_variable ready_;
   std::deque<WriteJob> jobs_;

@@ -125,8 +125,6 @@ Controller::Controller(ControllerConfig cfg, DecisionLog& log, EventBuffer* heal
   if (metrics_ != nullptr) {
     c_ticks_ = &metrics_->counter("crfs.ctl.ticks");
     c_fired_[kGrow] = &metrics_->counter("crfs.ctl.fired.grow_pool");
-    c_fired_[kWiden] = &metrics_->counter("crfs.ctl.fired.widen_io");
-    c_fired_[kShed] = &metrics_->counter("crfs.ctl.fired.shed_io");
     c_fired_[kShedReadahead] = &metrics_->counter("crfs.ctl.fired.shed_readahead");
     c_fired_[kShedDrain] = &metrics_->counter("crfs.ctl.fired.shed_drain");
   }
@@ -179,33 +177,11 @@ void Controller::tick(const Sample& s) {
   }
 
   const std::int64_t depth = s.gauge("crfs.queue.depth").value_or(0);
-  const HistogramSnapshot* pwrite = s.histogram("crfs.io.pwrite_ns");
-  const double p99 = (pwrite != nullptr && pwrite->count > 0) ? pwrite->p99() : 0.0;
-
-  if (have_prev_depth_ && depth > prev_depth_) {
-    rising_run_ += 1;
-  } else {
-    rising_run_ = 0;
-  }
-  prev_depth_ = depth;
-  have_prev_depth_ = true;
 
   // grow_pool: an epoch burst exhausted the buffer pool.
   if (starved_edge && cooled(kGrow, s.ts_ns)) {
     const double cur = read_("pool_chunks", 0.0);
     if (cur > 0.0) fire(s, kGrow, "grow_pool", "pool_chunks", cur * cfg_.grow_factor);
-  }
-
-  // shed_io takes precedence over widen_io: a saturated backend with a
-  // standing queue means submit-side concurrency is the throttle (§IV).
-  bool shed_now = false;
-  if (p99 >= cfg_.shed_min_p99_ns && depth >= cfg_.shed_min_depth &&
-      cooled(kShed, s.ts_ns)) {
-    shed_now = true;
-    const double batch = read_("io_batch", 0.0);
-    if (batch > 1.0) {
-      fire(s, kShed, "shed_io", "io_batch", batch / 2.0);
-    }
   }
 
   // shed_readahead: restore reads are slow while checkpoint writes also
@@ -251,16 +227,6 @@ void Controller::tick(const Sample& s) {
         fire(s, kShedDrain, "shed_drain", "drain_mbps", cur / 2.0);
       }
     }
-  }
-
-  // widen_io: work arriving faster than we submit, backend healthy.
-  if (!shed_now && rising_run_ >= cfg_.widen_rising_samples &&
-      p99 < cfg_.widen_max_p99_ns && cooled(kWiden, s.ts_ns)) {
-    const double batch = read_("io_batch", 0.0);
-    if (batch > 0.0) {
-      fire(s, kWiden, "widen_io", "io_batch", batch * 2.0);
-    }
-    rising_run_ = 0;
   }
 }
 

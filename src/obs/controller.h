@@ -10,14 +10,6 @@
 //   grow_pool   a new pool_starvation event from the HealthMonitor (the
 //               epoch-burst backpressure regime of Fig 5) doubles the
 //               buffer pool, bounded by the pool_chunks knob's max.
-//   widen_io    queue depth rising for >= widen_rising_samples frames
-//               while the backend looks healthy (pwrite p99 below
-//               widen_max_p99_ns): chunks are arriving faster than we
-//               submit, so double io_batch.
-//   shed_io     pwrite p99 above shed_min_p99_ns with a standing queue:
-//               the backend is the bottleneck, so halve io_batch — the
-//               paper's §IV insight that IO concurrency is the throttle
-//               toward the backend.
 //   shed_readahead
 //               read p99 (crfs.read.pread_ns) above shed_min_p99_ns while
 //               checkpoint writes also queue: restore prefetch is
@@ -60,7 +52,7 @@ struct CtlDecision {
   std::uint64_t seq = 0;    ///< 1-based, assigned by the DecisionLog
   std::uint64_t ts_ns = 0;  ///< sample timestamp (monotonic or virtual)
   std::string source;       ///< "controller" | "manual" | "ctlfile"
-  std::string rule;         ///< "grow_pool" | "widen_io" | "shed_io" | "tune"
+  std::string rule;  ///< "grow_pool" | "shed_readahead" | "shed_drain" | "tune"
   std::string knob;
   double requested = 0.0;
   double from = 0.0;
@@ -122,11 +114,8 @@ struct ControllerConfig {
   std::uint64_t cooldown_ns = 2'000'000'000;
   /// Pool growth multiplier on pool_starvation.
   double grow_factor = 2.0;
-  /// Consecutive frames of strictly rising queue depth before widen_io.
-  unsigned widen_rising_samples = 3;
-  /// Backend considered healthy (widen allowed) below this pwrite p99.
-  double widen_max_p99_ns = 5e6;
-  /// Backend considered the bottleneck (shed) above this pwrite p99...
+  /// A shed rule fires when its stage's p99 (restore pread, tier drain
+  /// pwrite) is above this...
   double shed_min_p99_ns = 50e6;
   /// ...with at least this much standing queue.
   std::int64_t shed_min_depth = 2;
@@ -163,14 +152,7 @@ class Controller {
   const ControllerConfig& config() const { return cfg_; }
 
  private:
-  enum Rule {
-    kGrow = 0,
-    kWiden = 1,
-    kShed = 2,
-    kShedReadahead = 3,
-    kShedDrain = 4,
-    kRuleCount
-  };
+  enum Rule { kGrow = 0, kShedReadahead = 1, kShedDrain = 2, kRuleCount };
 
   bool cooled(Rule r, std::uint64_t ts_ns) const;
   void fire(const Sample& s, Rule r, const char* rule_name, std::string_view knob,
@@ -188,9 +170,6 @@ class Controller {
 
   std::atomic<std::uint64_t> ticks_{0};
   std::uint64_t seen_events_ = 0;
-  bool have_prev_depth_ = false;
-  std::int64_t prev_depth_ = 0;
-  unsigned rising_run_ = 0;
   std::uint64_t last_fire_ns_[kRuleCount] = {};
   bool fired_once_[kRuleCount] = {};
 

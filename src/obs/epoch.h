@@ -66,7 +66,7 @@ class EpochState {
   std::atomic<std::uint64_t> bytes{0};         ///< app bytes acknowledged
   std::atomic<std::uint64_t> app_writes{0};    ///< write() calls
   std::atomic<std::uint64_t> chunks{0};        ///< chunks enqueued
-  std::atomic<std::uint64_t> backend_writes{0};///< backend pwrite/pwritev calls
+  std::atomic<std::uint64_t> backend_writes{0};///< backend pwrite calls
   std::atomic<std::uint64_t> durable_bytes{0}; ///< bytes landed on the backend
   std::atomic<std::uint64_t> pool_stall_ns{0}; ///< app time blocked on the pool
   std::atomic<std::uint64_t> queue_residency_ns{0};  ///< sum enqueue->dequeue

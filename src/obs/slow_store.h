@@ -43,7 +43,7 @@ struct SlowExemplar {
   // The stamp chain, copy-in -> durable.
   std::uint64_t born_ns = 0;       ///< first copy-in (Chunk::born_ns)
   std::uint64_t enqueue_ns = 0;    ///< WorkQueue push
-  std::uint64_t dequeue_ns = 0;    ///< worker batch pop
+  std::uint64_t dequeue_ns = 0;    ///< worker pop
   std::uint64_t submit_ns = 0;     ///< pwrite start
   std::uint64_t durable_ns = 0;    ///< pwrite return
   // Derived stage durations (disjoint intervals of born..durable; the

@@ -113,7 +113,7 @@ class TraceCollector {
 
   /// Interns a string (e.g. a file path) into collector-lifetime stable
   /// storage so TraceEvent::tag can outlive the FileEntry that named it.
-  /// Deduplicated; mutex-guarded (cold path — once per run completion).
+  /// Deduplicated; mutex-guarded (cold path — once per traced chunk write).
   const char* intern(const std::string& s);
 
  private:

@@ -76,22 +76,6 @@ void CrfsSimNode::define_knobs() {
         return true;
       });
   knobs_.define(
-      crfs::KnobDef{"io_batch", 1.0, static_cast<double>(config_.tune_io_batch_max),
-                    "chunks"},
-      static_cast<double>(config_.io_batch),
-      [this](double v, double* achieved, std::string* reason) {
-        const auto cap = static_cast<unsigned>(
-            std::max<std::size_t>(1, config_.num_chunks() / 2));
-        const auto want = static_cast<unsigned>(v);
-        const unsigned eff = std::min(want, cap);
-        config_.io_batch = eff;
-        if (eff != want) {
-          *achieved = static_cast<double>(eff);
-          *reason = "capped at half the pool (" + std::to_string(cap) + " chunks)";
-        }
-        return true;
-      });
-  knobs_.define(
       crfs::KnobDef{"slow_capture_ms", 0.0, 100000.0, "ms"},
       static_cast<double>(config_.slow_capture_ms),
       [this](double v, double*, std::string*) {
@@ -379,133 +363,72 @@ Task CrfsSimNode::io_worker(unsigned worker) {
       if (stopping_) co_return;
       co_await job_ready_.wait();
     }
-    // Mirror of IoThreadPool's batch dequeue (docs/PERFORMANCE.md): drain
-    // up to io_batch already-queued jobs, group them by file (stable —
-    // FIFO order preserved within a file, like the real pool), and issue
-    // one backend call per run of adjacent chunks. Per-chunk bookkeeping
-    // cost survives coalescing; the backend call does not.
-    std::vector<Job> batch;
-    // Same half-the-pool batch cap as Crfs::mount: a batch's chunks stay
-    // out of the pool until the coalesced write lands, so an uncapped
-    // batch would lockstep the simulated pipeline too.
-    const std::size_t batch_cap = std::max<std::size_t>(1, config_.num_chunks() / 2);
-    const std::size_t max_batch =
-        std::min<std::size_t>(config_.io_batch == 0 ? 1 : config_.io_batch, batch_cap);
-    // One dequeue stamp for the whole batch (pop_batch holds the lock
-    // once in the real pool; virtual time does not advance inside it).
-    const std::uint64_t dequeue_now = now_ns();
-    while (!queue_.empty() && batch.size() < max_batch) {
-      batch.push_back(queue_.front());
-      queue_.pop_front();
-    }
-    std::stable_sort(batch.begin(), batch.end(),
-                     [](const Job& a, const Job& b) { return a.file < b.file; });
-
-    std::size_t i = 0;
-    while (i < batch.size()) {
-      std::size_t j = i + 1;
-      while (j < batch.size() && batch[j].file == batch[i].file &&
-             batch[j - 1].offset + batch[j - 1].len == batch[j].offset) {
-        ++j;
-      }
-      std::vector<Job> run(batch.begin() + static_cast<std::ptrdiff_t>(i),
-                           batch.begin() + static_cast<std::ptrdiff_t>(j));
-      co_await write_run(std::move(run), dequeue_now, worker);
-      i = j;
-    }
+    // Mirror of IoThreadPool: pop one job, write it with one backend call.
+    Job job = std::move(queue_.front());
+    queue_.pop_front();
+    co_await write_job(std::move(job), worker);
   }
 }
 
-Task CrfsSimNode::write_run(std::vector<Job> run, std::uint64_t dequeue_now,
-                            unsigned worker) {
-  std::uint64_t run_len = 0;
-  for (const Job& job : run) run_len += job.len;
-
+Task CrfsSimNode::write_job(Job job, unsigned worker) {
+  // Virtual time does not pass between the pop and the backend call, so
+  // one stamp is both dequeue and submit: the sim has no submit wait.
   const double pwrite_start = sim_.now();
   const std::uint64_t submit_ns = now_ns();
-  co_await sim_.delay(cal_.crfs_chunk_overhead * static_cast<double>(run.size()));
-  co_await backend_.write_call(node_, run.front().file, run.front().offset, run_len,
-                               /*via_crfs=*/true);
-  // Causal chain mirror of complete_run: retro-record queue and submit
-  // spans from the stamps the jobs carry, then the device span, all under
-  // the jobs' trace ids.
-  for (const Job& job : run) {
-    if (job.enqueue_ns != 0 && dequeue_now > job.enqueue_ns) {
-      sim_.trace_complete("queue", io_lane(worker),
-                          static_cast<double>(job.enqueue_ns) / 1e9,
-                          static_cast<double>(dequeue_now) / 1e9, job.trace_id);
-    }
-    if (submit_ns > dequeue_now) {
-      sim_.trace_complete("submit", io_lane(worker),
-                          static_cast<double>(dequeue_now) / 1e9,
-                          static_cast<double>(submit_ns) / 1e9, job.trace_id);
-    }
+  co_await sim_.delay(cal_.crfs_chunk_overhead);
+  co_await backend_.write_call(node_, job.file, job.offset, job.len, /*via_crfs=*/true);
+  // Causal chain mirror of complete_job: retro-record the queue span from
+  // the job's enqueue stamp, then the device span, under its trace id.
+  if (job.enqueue_ns != 0 && submit_ns > job.enqueue_ns) {
+    sim_.trace_complete("queue", io_lane(worker), static_cast<double>(job.enqueue_ns) / 1e9,
+                        static_cast<double>(submit_ns) / 1e9, job.trace_id);
   }
-  sim_.trace_complete("pwrite", io_lane(worker), pwrite_start, sim_.now(),
-                      run.front().trace_id);
+  sim_.trace_complete("pwrite", io_lane(worker), pwrite_start, sim_.now(), job.trace_id);
   h_pwrite_->record(static_cast<std::uint64_t>((sim_.now() - pwrite_start) * 1e9));
-  c_pwrite_bytes_->add(run_len);
+  c_pwrite_bytes_->add(job.len);
 
-  // Mirror of IoThreadPool::complete_run's ledger attribution: the
-  // backend call goes to the run's leading epoch, durability per job;
-  // submit-wait and device time are charged once per run.
+  // Mirror of IoThreadPool::complete_job's ledger attribution.
   const std::uint64_t t_done = now_ns();
-  if (run.front().epoch != nullptr) {
-    obs::EpochState& ep = *run.front().epoch;
+  const std::uint64_t lag = job.born_ns != 0 && t_done > job.born_ns ? t_done - job.born_ns : 0;
+  const std::uint64_t residency = submit_ns > job.enqueue_ns ? submit_ns - job.enqueue_ns : 0;
+  const std::uint64_t device = t_done > submit_ns ? t_done - submit_ns : 0;
+  if (job.epoch != nullptr) {
+    obs::EpochState& ep = *job.epoch;
     ep.backend_writes.fetch_add(1, std::memory_order_relaxed);
-    if (submit_ns > dequeue_now) {
-      ep.submit_wait_ns.fetch_add(submit_ns - dequeue_now, std::memory_order_relaxed);
-    }
-    if (t_done > submit_ns) {
-      ep.device_ns.fetch_add(t_done - submit_ns, std::memory_order_relaxed);
-    }
+    if (device != 0) ep.device_ns.fetch_add(device, std::memory_order_relaxed);
+    ep.record_chunk_durable(job.len, lag, residency);
   }
-  for (const Job& job : run) {
-    const std::uint64_t lag =
-        job.born_ns != 0 && t_done > job.born_ns ? t_done - job.born_ns : 0;
-    const std::uint64_t residency =
-        dequeue_now > job.enqueue_ns ? dequeue_now - job.enqueue_ns : 0;
-    if (job.born_ns != 0) h_lag_->record(lag);
-    if (job.epoch != nullptr) {
-      job.epoch->record_chunk_durable(job.len, lag, residency);
-    }
-    const std::uint64_t device =
-        t_done > submit_ns ? t_done - submit_ns : 0;
-    if (telemetry_.slow().over_threshold(lag, device)) {
-      // Same exemplar shape as the real IO pool, on virtual time; two
-      // replays of one workload capture byte-identical chains.
-      obs::SlowExemplar ex;
-      ex.trace_id = job.trace_id;
-      ex.path = "sim/file" + std::to_string(job.file);
-      ex.offset = job.offset;
-      ex.len = job.len;
-      ex.born_ns = job.born_ns;
-      ex.enqueue_ns = job.enqueue_ns;
-      ex.dequeue_ns = dequeue_now;
-      ex.submit_ns = submit_ns;
-      ex.durable_ns = t_done;
-      ex.pool_stall_ns = job.stall_ns;
-      ex.fill_ns = job.born_ns != 0 && job.enqueue_ns > job.born_ns
-                       ? job.enqueue_ns - job.born_ns
-                       : 0;
-      ex.queue_ns = residency;
-      ex.submit_wait_ns = submit_ns > dequeue_now ? submit_ns - dequeue_now : 0;
-      ex.device_ns = device;
-      ex.total_lag_ns = lag;
-      ex.queue_depth = queue_.size();
-      ex.free_chunks = free_chunks_;
-      ex.knob_generation = knobs_.generation();
-      telemetry_.slow().capture(std::move(ex));
-    }
+  if (job.born_ns != 0) h_lag_->record(lag);
+  if (telemetry_.slow().over_threshold(lag, device)) {
+    // Same exemplar shape as the real IO pool, on virtual time; two
+    // replays of one workload capture byte-identical chains.
+    obs::SlowExemplar ex;
+    ex.trace_id = job.trace_id;
+    ex.path = "sim/file" + std::to_string(job.file);
+    ex.offset = job.offset;
+    ex.len = job.len;
+    ex.born_ns = job.born_ns;
+    ex.enqueue_ns = job.enqueue_ns;
+    ex.dequeue_ns = submit_ns;
+    ex.submit_ns = submit_ns;
+    ex.durable_ns = t_done;
+    ex.pool_stall_ns = job.stall_ns;
+    ex.fill_ns =
+        job.born_ns != 0 && job.enqueue_ns > job.born_ns ? job.enqueue_ns - job.born_ns : 0;
+    ex.queue_ns = residency;
+    ex.device_ns = device;
+    ex.total_lag_ns = lag;
+    ex.queue_depth = queue_.size();
+    ex.free_chunks = free_chunks_;
+    ex.knob_generation = knobs_.generation();
+    telemetry_.slow().capture(std::move(ex));
   }
 
-  for (const Job& job : run) {
-    FileState& st = state(job.file);
-    st.complete_chunks += 1;
-    st.completion->pulse();
-    free_chunks_ += 1;
-    chunk_available_.pulse();
-  }
+  FileState& st = state(job.file);
+  st.complete_chunks += 1;
+  st.completion->pulse();
+  free_chunks_ += 1;
+  chunk_available_.pulse();
 }
 
 Task CrfsSimNode::close_file(FileId file) {

@@ -116,8 +116,8 @@ class CrfsSimNode {
   /// Same knob names and bounds semantics as Crfs::define_knobs, applied
   /// straight to the sim state the io_worker re-reads every iteration:
   /// pool_chunks mutates the free-chunk count (and pulses waiters on
-  /// grow), io_batch mutates the config the worker consults, and
-  /// epoch_gap_ms re-arms the tracker. An obs::Controller wired to
+  /// grow), readahead_window mutates the config the restore path
+  /// consults, and epoch_gap_ms re-arms the tracker. An obs::Controller wired to
   /// this plane and driven from sample_loop's ticks replays policy
   /// decisions deterministically on virtual time.
   crfs::KnobPlane& knob_plane() { return knobs_; }
@@ -168,11 +168,10 @@ class CrfsSimNode {
   Task io_worker(unsigned worker);
   /// Registers the runtime knob set against the sim state (ctor tail).
   void define_knobs();
-  /// One coalesced run's backend write plus all per-chunk completion
-  /// bookkeeping (pwrite histograms, epoch attribution, pool release).
-  /// The worker awaits it inline: blocked for the duration, like an IO
-  /// thread in its pwrite.
-  Task write_run(std::vector<Job> run, std::uint64_t dequeue_now, unsigned worker);
+  /// One chunk's backend write plus its completion bookkeeping (pwrite
+  /// histograms, epoch attribution, pool release). The worker awaits it
+  /// inline: blocked for the duration, like an IO thread in its pwrite.
+  Task write_job(Job job, unsigned worker);
   FileState& state(FileId file);
   /// Enqueues the file's current chunk (if non-empty).
   void flush_chunk(FileState& st, FileId file);

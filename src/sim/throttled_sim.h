@@ -1,21 +1,20 @@
 // ThrottledBackendSim: a deliberately concurrency-sensitive backend for
-// feedback-controller policy tests (tests/test_control.cpp).
+// feedback-controller, journal and policy tests (tests/test_control.cpp,
+// tests/test_journal.cpp, tests/test_sim_extensions.cpp).
 //
 // The production backend models (ext3/Lustre/NFS) are faithful but heavy;
-// this one isolates the single effect the shed_io policy exists for — the
-// paper's §IV observation that pushing more concurrent IO at a saturated
-// backend makes every call slower. Service is one FCFS station whose
-// effective bandwidth at service start degrades with the number of calls
-// concurrently pending:
+// this one isolates the paper's §IV observation that pushing more
+// concurrent IO at a saturated backend makes every call slower. Service
+// is one FCFS station whose effective bandwidth at service start degrades
+// with the number of calls concurrently pending:
 //
 //   bw_eff = bw / (1 + alpha * (pending - 1))
 //
-// A purely linear server would null the shed benefit (Little's law: halve
-// the concurrency, double the per-call wait, same residency); the
-// interference term makes lower submission concurrency genuinely drain
-// the station faster, so a controller that sheds io_batch
-// measurably reduces backend residency — which is exactly what the test
-// asserts. Everything is deterministic on virtual time.
+// A purely linear server would make submission concurrency irrelevant
+// (Little's law: halve the concurrency, double the per-call wait, same
+// residency); the interference term makes a crowded station genuinely
+// slower, so writes and reads sharing it visibly slow each other down.
+// Everything is deterministic on virtual time.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +40,6 @@ class ThrottledBackendSim : public BackendSim {
 
   Task write_call(unsigned, FileId, std::uint64_t, std::uint64_t len,
                   bool) override {
-    const double arrival = sim_.now();
     pending_ += 1;
     co_await station_.acquire();
     // Interference is sampled once at service start: the crowd that is
@@ -53,10 +51,6 @@ class ThrottledBackendSim : public BackendSim {
     pending_ -= 1;
     calls_ += 1;
     bytes_ += len;
-    residency_sum_s_ += sim_.now() - arrival;
-    if (sim_.now() - arrival > residency_max_s_) {
-      residency_max_s_ = sim_.now() - arrival;
-    }
   }
 
   Task close_file(unsigned, FileId, bool) override { co_return; }
@@ -78,15 +72,11 @@ class ThrottledBackendSim : public BackendSim {
 
   void stop() override {}
 
-  // -- Station-side measurements (arrival -> completion) --------------------
+  // -- Station-side counts -------------------------------------------------
   std::uint64_t calls() const { return calls_; }
   std::uint64_t bytes() const { return bytes_; }
   std::uint64_t read_calls() const { return read_calls_; }
   std::uint64_t read_bytes() const { return read_bytes_; }
-  double mean_residency_s() const {
-    return calls_ > 0 ? residency_sum_s_ / static_cast<double>(calls_) : 0.0;
-  }
-  double max_residency_s() const { return residency_max_s_; }
 
  private:
   Simulation& sim_;
@@ -98,8 +88,6 @@ class ThrottledBackendSim : public BackendSim {
   std::uint64_t bytes_ = 0;
   std::uint64_t read_calls_ = 0;
   std::uint64_t read_bytes_ = 0;
-  double residency_sum_s_ = 0.0;
-  double residency_max_s_ = 0.0;
 };
 
 }  // namespace crfs::sim

@@ -3,9 +3,9 @@
 // metrics/stats_json), the Controller's rule edges and cooldown (exactly
 // two decisions across fire -> cooldown -> re-fire, under both a real
 // Sampler thread and manual virtual-time ticks), and the DES policy
-// scenario: against a concurrency-sensitive backend the shed_io rule
-// observably lowers submission aggregation and backend residency, and
-// identical replays produce byte-identical decision logs.
+// replay: a starved pool against a concurrency-sensitive backend makes
+// grow_pool fire, and identical replays produce byte-identical decision
+// logs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -147,13 +147,13 @@ Config small_config() {
   return cfg;
 }
 
-TEST(CrfsTune, PoolGrowReclampsBatchAndLandsEverywhere) {
+TEST(CrfsTune, PoolGrowLandsEverywhere) {
   auto fs = Crfs::mount(std::make_shared<MemBackend>(), small_config());
   ASSERT_TRUE(fs.ok());
   Crfs& crfs = *fs.value();
 
-  // 4-chunk pool: the effective io_batch was mount-clamped to half of it.
-  EXPECT_DOUBLE_EQ(crfs.knob_plane().snapshot()->get("io_batch"), 2.0);
+  // The knob plane starts from the mount's config.
+  EXPECT_DOUBLE_EQ(crfs.knob_plane().snapshot()->get("readahead_window"), 4.0);
 
   const obs::CtlDecision d = crfs.tune("pool_chunks", 8.0);
   EXPECT_EQ(d.outcome, "applied");
@@ -179,16 +179,16 @@ TEST(CrfsTune, PoolGrowReclampsBatchAndLandsEverywhere) {
   EXPECT_DOUBLE_EQ(big.to, 16.0);  // tune_pool_max auto = 4x pool
   EXPECT_NE(big.reason.find("clamped to [1, 16]"), std::string::npos);
 
-  // io_batch may now use half of the grown pool.
-  const obs::CtlDecision batch = crfs.tune("io_batch", 8.0);
-  EXPECT_EQ(batch.outcome, "applied");
-  EXPECT_DOUBLE_EQ(batch.to, 8.0);
+  // Another knob moves independently of the grown pool...
+  const obs::CtlDecision window = crfs.tune("readahead_window", 8.0);
+  EXPECT_EQ(window.outcome, "applied");
+  EXPECT_DOUBLE_EQ(window.to, 8.0);
 
-  // ...but never more than that: requests beyond it report the cap.
-  const obs::CtlDecision over = crfs.tune("io_batch", 64.0);
+  // ...within its own declared bounds: requests beyond them are clamped.
+  const obs::CtlDecision over = crfs.tune("readahead_window", 4096.0);
   EXPECT_EQ(over.outcome, "clamped");
-  EXPECT_DOUBLE_EQ(over.to, 8.0);
-  EXPECT_NE(over.reason.find("capped at half the pool"), std::string::npos);
+  EXPECT_DOUBLE_EQ(over.to, 1024.0);
+  EXPECT_NE(over.reason.find("clamped to [1, 1024]"), std::string::npos);
 }
 
 TEST(CrfsTune, ComponentVetoesAreAuditedNotApplied) {
@@ -234,7 +234,7 @@ TEST(CrfsTune, StatsJsonCarriesSchemaVersionAndControllerSection) {
   EXPECT_EQ((*decisions->array)[0].get("knob")->string, "pool_chunks");
   const auto* knobs = ctl->get("knob_plane")->get("knobs");
   ASSERT_TRUE(knobs != nullptr && knobs->is_array());
-  EXPECT_EQ(knobs->array->size(), 11u);
+  EXPECT_EQ(knobs->array->size(), 10u);
 }
 
 // ----------------------------------------------- .crfs_tune control file
@@ -253,20 +253,21 @@ TEST(TuneControlFile, TokensApplyAndMalformedOnesNameTheToken) {
     return shim.write(h.value(), payload, 0);
   };
 
-  auto good = put("pool_chunks=8, io_batch=4");
+  auto good = put("pool_chunks=8, readahead_window=2");
   ASSERT_TRUE(good.ok());
   const auto decisions = fs.value()->decision_log().snapshot();
   ASSERT_EQ(decisions.size(), 2u);
   EXPECT_EQ(decisions[0].source, "ctlfile");
   EXPECT_EQ(decisions[0].knob, "pool_chunks");
-  EXPECT_EQ(decisions[1].knob, "io_batch");
+  EXPECT_EQ(decisions[1].knob, "readahead_window");
   EXPECT_DOUBLE_EQ(fs.value()->knob_plane().snapshot()->get("pool_chunks"), 8.0);
 
   // Malformed / unknown tokens fail with EINVAL naming the exact token.
-  auto bad_value = put("io_batch=abc");
+  auto bad_value = put("readahead_window=abc");
   ASSERT_FALSE(bad_value.ok());
-  EXPECT_NE(bad_value.error().to_string().find("\"io_batch=abc\""), std::string::npos);
-  auto no_eq = put("io_batch");
+  EXPECT_NE(bad_value.error().to_string().find("\"readahead_window=abc\""),
+            std::string::npos);
+  auto no_eq = put("readahead_window");
   ASSERT_FALSE(no_eq.ok());
   EXPECT_NE(no_eq.error().to_string().find("expected knob=value"), std::string::npos);
   auto unknown = put("bogus=1");
@@ -395,46 +396,40 @@ TEST(ControllerCooldown, ExactlyTwoDecisionsOnRealSamplerThread) {
   EXPECT_DOUBLE_EQ(decisions[1].to, 16.0);
 }
 
-// ------------------------------------------------- DES policy scenario
+// --------------------------------------------------- DES policy replay
 
-sim::Task drive_shed_stream(sim::CrfsSimNode& node, std::uint64_t bytes) {
+sim::Task drive_stream(sim::CrfsSimNode& node, std::uint64_t bytes) {
   co_await node.app_write(0, bytes);
   co_await node.close_file(0);
   node.stop();
 }
 
-struct ShedRun {
+struct GrowRun {
   std::string decisions_json;
   std::vector<obs::CtlDecision> decisions;
-  double mean_residency_s = 0.0;
-  double final_io_batch = 0.0;
-  std::uint64_t shed_fired = 0;
+  double final_pool_chunks = 0.0;
 };
 
-// 256 MiB checkpoint stream against a backend whose effective bandwidth
-// degrades with concurrent pending calls (ThrottledBackendSim). Two IO
-// workers each keep one coalesced run of up to io_batch chunks pending,
-// so without intervention the station is crowded; the shed_io rule
-// halves io_batch once pwrite p99 blows past the threshold with a
-// standing queue. widen is effectively disabled so the scenario
-// isolates the shed policy.
-ShedRun run_shed_scenario(bool controlled) {
+// 64 MiB checkpoint stream through a 4-chunk pool against a backend whose
+// bandwidth degrades with concurrent pending calls (ThrottledBackendSim):
+// the writer outruns the IO workers, the pool sits empty, the
+// HealthMonitor raises pool_starvation and grow_pool doubles the pool —
+// every step on virtual time.
+GrowRun run_grow_scenario() {
   sim::Simulation sim;
   sim::Calibration cal;
   sim::ThrottledBackendSim backend(sim);
   Config cfg;
   cfg.chunk_size = 1 * MiB;
-  cfg.pool_size = 128 * MiB;  // pool never binds
+  cfg.pool_size = 4 * MiB;
   cfg.io_threads = 2;
-  cfg.io_batch = 4;
   sim::CrfsSimNode node(sim, cal, backend, /*node=*/0, cfg, FuseOptions{}, /*ppn=*/1);
 
   obs::EventBuffer events(256);
+  obs::HealthMonitor monitor(obs::HealthConfig{}, events);
   obs::DecisionLog log(256, &node.metrics(), &events);
-  obs::ControllerConfig ctl_cfg;
-  ctl_cfg.widen_rising_samples = 1'000'000;  // isolate shed_io
   obs::Controller controller(
-      ctl_cfg, log, &events, &node.metrics(),
+      obs::ControllerConfig{}, log, &events, &node.metrics(),
       [&](std::string_view name, double fb) {
         return node.knob_plane().snapshot()->get(name, fb);
       },
@@ -444,91 +439,28 @@ ShedRun run_shed_scenario(bool controlled) {
       });
 
   obs::Sampler sampler(node.metrics());
-  if (controlled) {
-    sampler.set_tick_observer([&](const obs::Sample& s) { controller.tick(s); });
-  }
+  sampler.set_health_monitor(&monitor);
+  sampler.set_tick_observer([&](const obs::Sample& s) { controller.tick(s); });
 
   node.start();
   sim.spawn(node.sample_loop(sampler, 0.010));
-  sim.spawn(drive_shed_stream(node, 256 * MiB));
+  sim.spawn(drive_stream(node, 64 * MiB));
   sim.run();
 
-  ShedRun out;
+  GrowRun out;
   out.decisions = log.snapshot();
   out.decisions_json = obs::decisions_to_json(out.decisions);
-  out.mean_residency_s = backend.mean_residency_s();
-  out.final_io_batch = node.knob_plane().snapshot()->get("io_batch");
-  out.shed_fired = counter_value(node.metrics(), "crfs.ctl.fired.shed_io");
+  out.final_pool_chunks = node.knob_plane().snapshot()->get("pool_chunks");
   return out;
 }
 
-TEST(ControllerSim, ShedsAggregationAgainstThrottledBackend) {
-  const ShedRun off = run_shed_scenario(false);
-  const ShedRun on = run_shed_scenario(true);
-
-  // Uncontrolled: no decisions, knobs never move.
-  EXPECT_TRUE(off.decisions.empty());
-  EXPECT_DOUBLE_EQ(off.final_io_batch, 4.0);
-
-  // Controlled: the shed rule fired and the submission knobs came down.
-  EXPECT_GE(on.shed_fired, 1u);
-  ASSERT_FALSE(on.decisions.empty());
-  bool shed_applied = false;
-  for (const auto& d : on.decisions) {
-    EXPECT_EQ(d.rule, "shed_io");
-    EXPECT_EQ(d.source, "controller");
-    if (d.outcome == "applied" && d.to < d.from) shed_applied = true;
-  }
-  EXPECT_TRUE(shed_applied);
-  EXPECT_LT(on.final_io_batch, 4.0);
-
-  // The §IV payoff: less submission concurrency against the interfering
-  // station means every call queues behind a smaller, faster-draining
-  // crowd — backend residency drops.
-  EXPECT_LT(on.mean_residency_s, off.mean_residency_s);
-}
-
 TEST(ControllerSim, IdenticalReplaysYieldByteIdenticalDecisionLogs) {
-  const ShedRun a = run_shed_scenario(true);
-  const ShedRun b = run_shed_scenario(true);
+  const GrowRun a = run_grow_scenario();
+  const GrowRun b = run_grow_scenario();
   ASSERT_FALSE(a.decisions.empty());
+  EXPECT_EQ(a.decisions.front().rule, "grow_pool");
+  EXPECT_GT(a.final_pool_chunks, 4.0);
   EXPECT_EQ(a.decisions_json, b.decisions_json);
-}
-
-// ------------------------------------------------------------ widen_io
-
-TEST(ControllerRules, WidenFiresOnRisingQueueWithHealthyBackend) {
-  obs::Registry reg;
-  std::atomic<std::int64_t> depth{0};
-  reg.gauge_fn("crfs.queue.depth", [&] { return depth.load(); });
-  auto& pwrite = reg.histogram("crfs.io.pwrite_ns");
-  pwrite.record(100'000);  // 0.1 ms: comfortably healthy
-
-  KnobPlane plane;
-  plane.define(KnobDef{"io_batch", 1.0, 64.0, "chunks"}, 4.0,
-               [](double, double*, std::string*) { return true; });
-  obs::DecisionLog log(64, nullptr, nullptr);
-  obs::Controller controller(
-      obs::ControllerConfig{}, log, nullptr, nullptr,
-      [&](std::string_view name, double fb) { return plane.snapshot()->get(name, fb); },
-      [&](std::string_view name, double requested) {
-        const TuneResult r = plane.tune(name, requested);
-        return obs::TuneOutcome{r.outcome, r.from, r.to, r.reason, r.generation};
-      });
-
-  obs::Sampler sampler(reg);
-  sampler.set_tick_observer([&](const obs::Sample& s) { controller.tick(s); });
-  // Depth strictly rising for 4 frames: widen fires on the 4th (3 rising
-  // deltas), doubling the dequeue batch.
-  for (std::int64_t d = 1; d <= 4; ++d) {
-    depth.store(d);
-    sampler.tick(static_cast<std::uint64_t>(d) * 10'000'000);
-  }
-  const auto decisions = log.snapshot();
-  ASSERT_EQ(decisions.size(), 1u);
-  EXPECT_EQ(decisions[0].rule, "widen_io");
-  EXPECT_EQ(decisions[0].knob, "io_batch");
-  EXPECT_DOUBLE_EQ(decisions[0].to, 8.0);
 }
 
 // Prometheus exposition is a scrape endpoint: it must be readable while
@@ -558,7 +490,7 @@ TEST(ControlPlane, PrometheusScrapeRacesKnobRetunes) {
     // Hammer every hot-path-visible knob, including the slow-store
     // threshold the IO completion path reads per chunk.
     for (int i = 0; !done.load() || i < 16; ++i) {
-      (void)crfs.tune("io_batch", 1.0 + i % 4);
+      (void)crfs.tune("readahead_window", 1.0 + i % 4);
       (void)crfs.tune("pool_chunks", 4.0 + i % 3);
       (void)crfs.tune("slow_capture_ms", (i % 2) != 0 ? 1.0 : 1000.0);
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -575,7 +507,7 @@ TEST(ControlPlane, PrometheusScrapeRacesKnobRetunes) {
   tuner.join();
   // The final exposition carries the knob gauges with legal values.
   last = obs::to_prometheus(crfs.metrics().snapshot());
-  EXPECT_NE(last.find("crfs_knob_io_batch"), std::string::npos);
+  EXPECT_NE(last.find("crfs_knob_readahead_window"), std::string::npos);
   EXPECT_NE(last.find("crfs_knob_slow_capture_ms"), std::string::npos);
   EXPECT_GT(crfs.knob_plane().generation(), 0u);
 }

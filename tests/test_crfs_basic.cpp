@@ -283,6 +283,32 @@ TEST_F(CrfsBasic, TruncateOnReopenDiscardsBufferedData) {
   EXPECT_EQ(backend_content("reopen.bin"), "fresh");
 }
 
+TEST_F(CrfsBasic, TruncatingReopenReturnsThePartialChunkToThePool) {
+  BufferPool& pool = fs_->buffer_pool();
+  ASSERT_EQ(pool.total_chunks(), 4u);
+  const std::string partial(100, 'p');
+  // Each truncating reopen discards the file's buffered partial chunk; the
+  // chunk must go back to the pool, or every reopen loses one for good.
+  for (int i = 0; i < 8; ++i) {
+    auto h1 = fs_->open("again.bin", {.create = true, .truncate = true, .write = true});
+    ASSERT_TRUE(h1.ok());
+    ASSERT_TRUE(fs_->write(h1.value(), as_bytes(partial), 0).ok());
+    auto h2 = fs_->open("again.bin", {.create = true, .truncate = true, .write = true});
+    ASSERT_TRUE(h2.ok());
+    ASSERT_TRUE(fs_->close(h1.value()).ok());
+    ASSERT_TRUE(fs_->close(h2.value()).ok());
+    ASSERT_EQ(pool.free_chunks(), 4u) << "after reopen " << i;
+  }
+  // A new writer still gets a chunk from the pool, not by stealing one.
+  auto h = fs_->open("after.bin", {.create = true, .truncate = true, .write = true});
+  ASSERT_TRUE(h.ok());
+  ASSERT_TRUE(fs_->write(h.value(), as_bytes(partial), 0).ok());
+  ASSERT_TRUE(fs_->close(h.value()).ok());
+  EXPECT_EQ(fs_->stats().snapshot().chunk_steals, 0u);
+  EXPECT_EQ(backend_content("after.bin"), partial);
+  EXPECT_EQ(backend_content("again.bin"), "");
+}
+
 TEST_F(CrfsBasic, OperationsOnBadHandleFail) {
   EXPECT_FALSE(fs_->write(9999, as_bytes("x"), 0).ok());
   std::vector<std::byte> buf(1);
@@ -413,8 +439,8 @@ TEST(CrfsNull, DiscardModeCountsAllBytes) {
   ASSERT_TRUE(fs.value()->write(h.value(), data, 0).ok());
   ASSERT_TRUE(fs.value()->close(h.value()).ok());
   EXPECT_EQ(null->bytes_discarded(), data.size());
-  // 1 MiB through 64 KiB chunks = 16 chunks; batched dequeue may coalesce
-  // adjacent chunks into fewer (vectored) backend calls, never more.
+  // 1 MiB through 64 KiB chunks = 16 chunks, one pwrite each; the
+  // large-write bypass may hand the whole write over in fewer calls.
   EXPECT_GE(null->writes_observed(), 1u);
   EXPECT_LE(null->writes_observed(), 16u);
 }

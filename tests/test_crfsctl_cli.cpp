@@ -367,7 +367,7 @@ TEST(CrfsctlCli, KnobsPrintsTheRuntimeKnobTable) {
   ASSERT_EQ(table.exit_code, 0) << table.output;
   EXPECT_NE(table.output.find("generation=0"), std::string::npos);
   EXPECT_NE(table.output.find("pool_chunks"), std::string::npos);
-  EXPECT_NE(table.output.find("io_batch"), std::string::npos);
+  EXPECT_NE(table.output.find("readahead_window"), std::string::npos);
   EXPECT_NE(table.output.find("journal_fsync_ms"), std::string::npos);
   EXPECT_NE(table.output.find("drain_mbps"), std::string::npos);
 
@@ -378,14 +378,14 @@ TEST(CrfsctlCli, KnobsPrintsTheRuntimeKnobTable) {
   EXPECT_DOUBLE_EQ(parsed->get("generation")->number, 0.0);
   const auto* knobs = parsed->get("knobs");
   ASSERT_TRUE(knobs != nullptr && knobs->is_array());
-  EXPECT_EQ(knobs->array->size(), 11u);
+  EXPECT_EQ(knobs->array->size(), 10u);
   const std::vector<std::string> knob_keys = {"max", "min", "name", "unit", "value"};
   for (const auto& k : *knobs->array) EXPECT_EQ(object_keys(k), knob_keys);
 }
 
 TEST(CrfsctlCli, TuneAppliesTokensAndAuditsCtlfileDecisions) {
   const std::string dir = fresh_dir("tune");
-  const RunResult res = run_crfsctl("tune " + dir + " pool_chunks=8,io_batch=2 --json");
+  const RunResult res = run_crfsctl("tune " + dir + " pool_chunks=8,readahead_window=2 --json");
   ASSERT_EQ(res.exit_code, 0) << res.output;
   auto parsed = obs::json::parse(res.output);
   ASSERT_TRUE(parsed.has_value()) << res.output;
@@ -395,7 +395,7 @@ TEST(CrfsctlCli, TuneAppliesTokensAndAuditsCtlfileDecisions) {
   EXPECT_EQ((*parsed->array)[0].get("knob")->string, "pool_chunks");
   EXPECT_EQ((*parsed->array)[0].get("outcome")->string, "applied");
   EXPECT_DOUBLE_EQ((*parsed->array)[0].get("to")->number, 8.0);
-  EXPECT_EQ((*parsed->array)[1].get("knob")->string, "io_batch");
+  EXPECT_EQ((*parsed->array)[1].get("knob")->string, "readahead_window");
 
   // A rejected token names itself in the error and fails the command.
   const RunResult bad = run_crfsctl("tune " + dir + " warp_factor=9");

@@ -1,6 +1,12 @@
-// Unit tests for WorkQueue and IoThreadPool.
+// Unit tests for WorkQueue and IoThreadPool: FIFO pops, shutdown, and
+// the one-chunk-per-pop rule (paper §IV-B) that keeps every IO thread
+// writing while chunks are queued.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <condition_variable>
+#include <cstring>
+#include <mutex>
 #include <thread>
 
 #include "backend/mem_backend.h"
@@ -67,70 +73,19 @@ TEST(WorkQueue, ShutdownUnblocksWaiters) {
   consumer.join();
 }
 
-TEST(WorkQueue, PopBatchDrainsUpToMaxInFifoOrder) {
+TEST(WorkQueue, PopStampsDequeueTimes) {
   WorkQueue q;
-  auto entry = std::make_shared<FileEntry>("f", 1);
-  for (int i = 0; i < 5; ++i) {
-    q.push(make_job(entry, 64, static_cast<std::uint64_t>(i), 'a', 1));
-  }
-  auto first = q.pop_batch(3);
-  ASSERT_EQ(first.size(), 3u);
-  EXPECT_EQ(first[0].chunk->file_offset(), 0u);
-  EXPECT_EQ(first[1].chunk->file_offset(), 1u);
-  EXPECT_EQ(first[2].chunk->file_offset(), 2u);
-  auto rest = q.pop_batch(8);  // only 2 left; must not block for more
-  ASSERT_EQ(rest.size(), 2u);
-  EXPECT_EQ(rest[0].chunk->file_offset(), 3u);
-  EXPECT_EQ(q.depth(), 0u);
-}
-
-TEST(WorkQueue, PopBatchBlocksForFirstJobOnly) {
-  WorkQueue q;
-  std::atomic<std::size_t> got{0};
-  std::thread consumer([&] { got.store(q.pop_batch(4).size()); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  EXPECT_EQ(got.load(), 0u);
-  q.push(make_job(std::make_shared<FileEntry>("f", 1), 64, 0, 'x', 1));
-  consumer.join();
-  EXPECT_EQ(got.load(), 1u);  // returned with the one available job
-}
-
-TEST(WorkQueue, PopBatchReturnsEmptyAfterShutdownDrained) {
-  WorkQueue q;
+  obs::LatencyHistogram wait;
+  q.set_wait_histogram(&wait);
   auto entry = std::make_shared<FileEntry>("f", 1);
   q.push(make_job(entry, 64, 0, 'a', 1));
   q.push(make_job(entry, 64, 1, 'b', 1));
-  q.shutdown();
-  EXPECT_EQ(q.pop_batch(8).size(), 2u);  // queued jobs still delivered
-  EXPECT_TRUE(q.pop_batch(8).empty());   // then closed
-}
-
-TEST(WorkQueue, TryPopBatchNeverBlocks) {
-  WorkQueue q;
-  EXPECT_TRUE(q.try_pop_batch(4).empty());  // empty queue: immediate return
-
-  auto entry = std::make_shared<FileEntry>("f", 1);
-  for (int i = 0; i < 3; ++i) {
-    q.push(make_job(entry, 64, static_cast<std::uint64_t>(i), 'a', 1));
-  }
-  auto batch = q.try_pop_batch(2);  // caps at max, FIFO order
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0].chunk->file_offset(), 0u);
-  EXPECT_EQ(batch[1].chunk->file_offset(), 1u);
-  EXPECT_EQ(q.try_pop_batch(8).size(), 1u);
-
-  q.shutdown();
-  EXPECT_TRUE(q.try_pop_batch(8).empty());  // drained + closed: still empty
-}
-
-TEST(WorkQueue, TryPopBatchStampsDequeueTimes) {
-  WorkQueue q;
-  auto entry = std::make_shared<FileEntry>("f", 1);
-  q.push(make_job(entry, 64, 0, 'a', 1));
-  auto batch = q.try_pop_batch(1);
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_GT(batch[0].enqueue_ns, 0u);
-  EXPECT_GE(batch[0].dequeue_ns, batch[0].enqueue_ns);
+  auto job = q.pop();
+  ASSERT_TRUE(job.has_value());
+  EXPECT_GT(job->enqueue_ns, 0u);
+  EXPECT_GE(job->dequeue_ns, job->enqueue_ns);
+  EXPECT_EQ(wait.count(), 1u);  // one wait sample per popped job
+  EXPECT_EQ(q.depth(), 1u);     // the second job stays queued
 }
 
 // --------------------------------------------------------- IoThreadPool
@@ -222,47 +177,15 @@ TEST_F(IoPoolTest, BackendErrorRecordedOnEntry) {
   EXPECT_EQ(io.chunks_written(), 0u);
 }
 
-TEST_F(IoPoolTest, BatchedWorkerCoalescesAdjacentChunks) {
-  auto entry = open_entry("seq.bin");
-  // Queue four offset-adjacent chunks BEFORE any worker exists, so the
-  // single worker's first pop_batch sees them all and must coalesce the
-  // run into one vectored backend write.
-  const std::string chunks[] = {"AAAA", "BBBB", "CCCC", "DDDD"};
-  std::uint64_t off = 0;
-  for (const auto& payload : chunks) {
-    queue_.push(pool_job(entry, off, payload));
-    off += payload.size();
-  }
-  const std::uint64_t pwrites_before = backend_->total_pwrites();
-  obs::Registry metrics;
-  IoPoolObs observe;
-  observe.batch_chunks = &metrics.histogram("crfs.io.batch_chunks");
-  observe.coalesced_pwrites = &metrics.counter("crfs.io.coalesced_pwrites");
-  {
-    IoThreadPool io(1, queue_, *pool_, *backend_, observe, /*batch=*/8);
-    entry->wait_for_completion(4);
-    EXPECT_EQ(io.chunks_written(), 4u);
-    EXPECT_EQ(io.bytes_written(), 16u);
-  }
-  // One coalesced pwritev for the whole run, not four pwrites.
-  EXPECT_EQ(backend_->total_pwrites() - pwrites_before, 1u);
-  EXPECT_GE(observe.coalesced_pwrites->value(), 1u);
-  EXPECT_GE(observe.batch_chunks->count(), 1u);
-  auto content = backend_->contents("seq.bin");
-  ASSERT_TRUE(content.ok());
-  ASSERT_EQ(content.value().size(), 16u);
-  EXPECT_EQ(std::memcmp(content.value().data(), "AAAABBBBCCCCDDDD", 16), 0);
-}
-
 TEST_F(IoPoolTest, BatchedWorkerPreservesFifoOrderForOverlappingChunks) {
   auto entry = open_entry("overlap.bin");
-  // A later overwrite at a LOWER offset: batching must not reorder these
+  // A later overwrite at a LOWER offset: a worker must not reorder these
   // by offset — the second (newer) chunk has to land after the first, or
   // last-writer-wins breaks for the overlapping bytes.
   queue_.push(pool_job(entry, 2, "XXXX"));  // older write, [2,6)
   queue_.push(pool_job(entry, 0, "yyyy"));  // newer overwrite, [0,4)
   {
-    IoThreadPool io(1, queue_, *pool_, *backend_, {}, /*batch=*/4);
+    IoThreadPool io(1, queue_, *pool_, *backend_);
     entry->wait_for_completion(2);
   }
   auto content = backend_->contents("overlap.bin");
@@ -271,45 +194,121 @@ TEST_F(IoPoolTest, BatchedWorkerPreservesFifoOrderForOverlappingChunks) {
   EXPECT_EQ(std::memcmp(content.value().data(), "yyyyXX", 6), 0);
 }
 
-TEST_F(IoPoolTest, BatchedWorkerGroupsByFileAcrossInterleavedStreams) {
-  auto a = open_entry("a.bin");
-  auto b = open_entry("b.bin");
-  // Two streams interleaved in the queue: grouping by file must still
-  // coalesce each stream's adjacent chunks into one write per file.
-  queue_.push(pool_job(a, 0, "AAAA"));
-  queue_.push(pool_job(b, 0, "1111"));
-  queue_.push(pool_job(a, 4, "BBBB"));
-  queue_.push(pool_job(b, 4, "2222"));
-  const std::uint64_t pwrites_before = backend_->total_pwrites();
-  {
-    IoThreadPool io(1, queue_, *pool_, *backend_, {}, /*batch=*/8);
-    a->wait_for_completion(2);
-    b->wait_for_completion(2);
-  }
-  EXPECT_EQ(backend_->total_pwrites() - pwrites_before, 2u);  // one per file
-  EXPECT_EQ(std::memcmp(backend_->contents("a.bin").value().data(), "AAAABBBB", 8), 0);
-  EXPECT_EQ(std::memcmp(backend_->contents("b.bin").value().data(), "11112222", 8), 0);
-}
-
 TEST_F(IoPoolTest, BatchedWorkerKeepsNonAdjacentChunksSeparate) {
   auto entry = open_entry("gap.bin");
   queue_.push(pool_job(entry, 0, "AAAA"));
-  queue_.push(pool_job(entry, 100, "BBBB"));  // hole: must not coalesce
+  queue_.push(pool_job(entry, 100, "BBBB"));  // hole between the chunks
   const std::uint64_t pwrites_before = backend_->total_pwrites();
-  obs::Registry metrics;
-  IoPoolObs observe;
-  observe.coalesced_pwrites = &metrics.counter("crfs.io.coalesced_pwrites");
   {
-    IoThreadPool io(1, queue_, *pool_, *backend_, observe, /*batch=*/4);
+    IoThreadPool io(1, queue_, *pool_, *backend_);
     entry->wait_for_completion(2);
   }
   EXPECT_EQ(backend_->total_pwrites() - pwrites_before, 2u);
-  EXPECT_EQ(observe.coalesced_pwrites->value(), 0u);
+  EXPECT_EQ(backend_->total_pwritten_bytes(), 8u);
   auto content = backend_->contents("gap.bin");
   ASSERT_TRUE(content.ok());
   ASSERT_EQ(content.value().size(), 104u);
   EXPECT_EQ(std::memcmp(content.value().data(), "AAAA", 4), 0);
   EXPECT_EQ(std::memcmp(content.value().data() + 100, "BBBB", 4), 0);
+}
+
+TEST_F(IoPoolTest, AdjacentChunksOfOneFileAreTwoPwrites) {
+  auto entry = open_entry("seq.bin");
+  // Both chunks are queued before the single worker exists, so it could
+  // see them together; it still writes each with its own pwrite.
+  queue_.push(pool_job(entry, 0, "AAAA"));
+  queue_.push(pool_job(entry, 4, "BBBB"));
+  const std::uint64_t pwrites_before = backend_->total_pwrites();
+  {
+    IoThreadPool io(1, queue_, *pool_, *backend_);
+    entry->wait_for_completion(2);
+    EXPECT_EQ(io.chunks_written(), 2u);
+  }
+  EXPECT_EQ(backend_->total_pwrites() - pwrites_before, 2u);
+  auto content = backend_->contents("seq.bin");
+  ASSERT_TRUE(content.ok());
+  ASSERT_EQ(content.value().size(), 8u);
+  EXPECT_EQ(std::memcmp(content.value().data(), "AAAABBBB", 8), 0);
+}
+
+// Holds every pwrite until `want` are in flight at once (or a deadline
+// passes) and records the most it ever saw together.
+class ConcurrencyGateBackend final : public BackendFs {
+ public:
+  ConcurrencyGateBackend(std::shared_ptr<BackendFs> inner, unsigned want)
+      : inner_(std::move(inner)), want_(want) {}
+
+  unsigned max_in_flight() const {
+    std::lock_guard lock(mu_);
+    return max_in_flight_;
+  }
+
+  Status pwrite(BackendFile f, std::span<const std::byte> d, std::uint64_t off) override {
+    {
+      std::unique_lock lock(mu_);
+      in_flight_ += 1;
+      max_in_flight_ = std::max(max_in_flight_, in_flight_);
+      cv_.notify_all();
+      cv_.wait_for(lock, std::chrono::seconds(5),
+                   [&] { return max_in_flight_ >= want_; });
+    }
+    Status st = inner_->pwrite(f, d, off);
+    std::lock_guard lock(mu_);
+    in_flight_ -= 1;
+    return st;
+  }
+  Result<BackendFile> open_file(const std::string& path, OpenFlags flags) override {
+    return inner_->open_file(path, flags);
+  }
+  Result<std::size_t> pread(BackendFile f, std::span<std::byte> d, std::uint64_t off) override {
+    return inner_->pread(f, d, off);
+  }
+  Status close_file(BackendFile f) override { return inner_->close_file(f); }
+  Status fsync(BackendFile f) override { return inner_->fsync(f); }
+  Status truncate(BackendFile f, std::uint64_t s) override { return inner_->truncate(f, s); }
+  Result<BackendStat> stat(const std::string& p) override { return inner_->stat(p); }
+  Status mkdir(const std::string& p) override { return inner_->mkdir(p); }
+  Status rmdir(const std::string& p) override { return inner_->rmdir(p); }
+  Status unlink(const std::string& p) override { return inner_->unlink(p); }
+  Status rename(const std::string& a, const std::string& b) override {
+    return inner_->rename(a, b);
+  }
+  Result<std::vector<std::string>> list_dir(const std::string& p) override {
+    return inner_->list_dir(p);
+  }
+  std::string name() const override { return "concurrency_gate(" + inner_->name() + ")"; }
+
+ private:
+  std::shared_ptr<BackendFs> inner_;
+  const unsigned want_;
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  unsigned in_flight_ = 0;
+  unsigned max_in_flight_ = 0;
+};
+
+TEST_F(IoPoolTest, FourQueuedChunksKeepFourWorkersWriting) {
+  // Four chunks of four files, all queued before the workers start: with
+  // one chunk per pop, every worker gets one and all four pwrites are in
+  // flight together. A worker that took two would leave another idle.
+  ConcurrencyGateBackend gate(backend_, 4);
+  std::vector<std::shared_ptr<FileEntry>> entries;
+  for (int i = 0; i < 4; ++i) {
+    auto bf = gate.open_file("f" + std::to_string(i),
+                             {.create = true, .truncate = true, .write = true});
+    ASSERT_TRUE(bf.ok());
+    entries.push_back(std::make_shared<FileEntry>("f" + std::to_string(i), bf.value()));
+    queue_.push(pool_job(entries.back(), 0, "DATA"));
+  }
+  {
+    IoThreadPool io(4, queue_, *pool_, gate);
+    for (auto& e : entries) e->wait_for_completion(1);
+    EXPECT_EQ(io.chunks_written(), 4u);
+  }
+  EXPECT_EQ(gate.max_in_flight(), 4u);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(backend_->contents("f" + std::to_string(i)).value().size(), 4u);
+  }
 }
 
 TEST_F(IoPoolTest, DestructorDrainsQueuedJobs) {

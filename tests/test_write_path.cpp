@@ -59,18 +59,18 @@ std::string read_file(const std::filesystem::path& p) {
 // ------------------------------------------------------- mount options
 
 TEST(IoEngineOptions, MountOptionRoundTrip) {
-  auto parsed = parse_mount_options("chunk=64K,pool=1M,io_batch=4,no_bypass");
+  auto parsed = parse_mount_options("chunk=64K,pool=1M,threads=2,no_bypass");
   ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
-  EXPECT_EQ(parsed.value().config.io_batch, 4u);
+  EXPECT_EQ(parsed.value().config.io_threads, 2u);
   EXPECT_FALSE(parsed.value().config.large_write_bypass);
 
   const std::string rendered = format_mount_options(parsed.value());
-  EXPECT_NE(rendered.find("io_batch=4"), std::string::npos);
+  EXPECT_NE(rendered.find("threads=2"), std::string::npos);
   EXPECT_NE(rendered.find("no_bypass"), std::string::npos);
 
   auto reparsed = parse_mount_options(rendered);
   ASSERT_TRUE(reparsed.ok()) << reparsed.error().to_string();
-  EXPECT_EQ(reparsed.value().config.io_batch, 4u);
+  EXPECT_EQ(reparsed.value().config.io_threads, 2u);
   EXPECT_FALSE(reparsed.value().config.large_write_bypass);
 }
 
@@ -97,7 +97,15 @@ TEST(IoEngineOptions, RejectsBadValues) {
   EXPECT_FALSE(parse_mount_options("io_engine=uring").ok());
   EXPECT_FALSE(parse_mount_options("io_engine=sync").ok());
   EXPECT_FALSE(parse_mount_options("uring_depth=8").ok());
-  EXPECT_FALSE(parse_mount_options("io_batch=0").ok());
+  // So is the dequeue batch: every IO thread pops exactly one chunk.
+  for (const char* retired : {"io_batch=0", "io_batch=1", "io_batch=8",
+                              "tune_io_batch_max=256"}) {
+    auto parsed = parse_mount_options(retired);
+    ASSERT_FALSE(parsed.ok()) << retired;
+    EXPECT_EQ(parsed.error().code, EINVAL) << retired;
+    EXPECT_NE(parsed.error().to_string().find("unknown mount option"), std::string::npos)
+        << retired;
+  }
 }
 
 TEST(IoEngineOptions, DescribeShowsEngineAndBypass) {
